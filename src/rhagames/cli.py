@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .arith import fmt, rat
 from .compiler import arena_from_json, arena_to_json, compile as compile_machine
-from .errors import HarnessError, ModelError, ParseError
+from .errors import CompileError, HarnessError, ModelError, MoveError, ParseError, StrategyError
 from .harness import (
     DEFAULT_STEP_BOUND,
     check_encoding,
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ModelError, HarnessError, ValueError) as exc:
+    except (ParseError, ModelError, HarnessError, CompileError, StrategyError, MoveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .arith import Rational, Valuation, fmt, rat
-from .errors import CompileError, ModelError
+from .errors import CompileError, ModelError, ParseError
 from .games import Player
 from .rha import (
     RectConstraint,
@@ -49,6 +49,8 @@ from .rha import (
     classify,
     conj,
     is_glitch_free,
+    rha_model_from_json,
+    rha_model_to_json,
     validate_rha,
 )
 from .rsm import Location, call, node, parse_location, ret
@@ -177,7 +179,7 @@ class _Builder:
         if guard is not None:
             self.comp.guards[(src, action)] = guard
         if resets:
-            self.comp.resets[action] = frozenset(resets)
+            self.comp.resets[(src, action)] = frozenset(resets)
         return action
 
     def port_owner(self, loc: Location, owner: Player) -> None:
@@ -256,33 +258,21 @@ class GadgetFactory:
             b.done()
         return name
 
-    def wrap_div_sw(self, a: str) -> str:
-        """rsa4 wrap for division checks: adds (1 - t) to ``a`` where u
-        holds t, then restores u and clears the scratch, in exactly one
-        time unit.  Entered with scratch b = 0."""
+    def wrap_sw(self, kind: str, a: str) -> str:
+        """rsa4 wrap for checks: runs until the measured variable m reaches
+        1, adding (1 - m) to its partner, then restores m and clears the
+        scratch, in exactly one time unit.  Division checks measure u (which
+        holds t) into ``a``; multiplication checks measure ``a`` into u.
+        Entered with scratch b = 0."""
         b_var = _other(a)
-        name = f"WrapD_{a}"
+        measured = "u" if kind == "div" else a
+        name = f"Wrap{'D' if kind == 'div' else 'M'}_{a}"
         if not self._have(name):
             b = _Builder(self, name)
             en = b.node("en", entry=True, ticks={a, b_var, "u"})
-            mid = b.node("mid", ticks={b_var, "u"})
+            mid = b.node("mid", ticks={measured, b_var})
             ex = b.node("ex", exit_=True, ticks={"z"})
-            b.edge(node(en), "hit", node(mid), guard=conj(("u", "=", 1)), resets={"u"})
-            b.edge(node(mid), "back", node(ex), guard=conj((b_var, "=", 1)), resets={b_var})
-            b.done()
-        return name
-
-    def wrap_mul_sw(self, a: str) -> str:
-        """rsa4 wrap for multiplication checks: adds (1 - a) to u, then
-        restores ``a`` and clears the scratch, in exactly one time unit."""
-        b_var = _other(a)
-        name = f"WrapM_{a}"
-        if not self._have(name):
-            b = _Builder(self, name)
-            en = b.node("en", entry=True, ticks={a, b_var, "u"})
-            mid = b.node("mid", ticks={a, b_var})
-            ex = b.node("ex", exit_=True, ticks={"z"})
-            b.edge(node(en), "hit", node(mid), guard=conj((a, "=", 1)), resets={a})
+            b.edge(node(en), "hit", node(mid), guard=conj((measured, "=", 1)), resets={measured})
             b.edge(node(mid), "back", node(ex), guard=conj((b_var, "=", 1)), resets={b_var})
             b.done()
         return name
@@ -323,19 +313,24 @@ class GadgetFactory:
 
     # -- check components ---------------------------------------------------
 
-    def div_check(self, a: str, n: int) -> str:
-        """Verify that the measured delay t equals a/n: n wraps add
-        n*(1-t) to ``a`` (which still holds its entry value), so the exit
-        guard a = n holds iff n*t equals the entry value."""
+    def check(self, kind: str, a: str, n: int) -> str:
+        """Verify the measured delay t of a scaler with n wraps, each adding
+        (1 - m) to the partner of a measured variable m.  A division check
+        verifies t = a/n: the wraps add n*(1-t) to ``a`` (which still holds
+        its entry value), so the exit guard a = n holds iff n*t equals the
+        entry value.  A multiplication check verifies t = n*a: the wraps add
+        n*(1-a) to the holder of t, whose exit guard demands exactly n."""
         b_var = _other(a)
-        name = f"ChkD_{a}_{n}"
+        name = f"Chk{'D' if kind == 'div' else 'M'}_{a}_{n}"
         if not self._have(name):
+            holder = b_var if self.target == RTA3 else "u"  # holds t after the scaler's first delay
+            measured, sealed = (holder, a) if kind == "div" else (a, holder)
             if self.target == RTA3:
-                wrap_name = self.wrap(b_var)
-                passes = frozenset({b_var, "z"})
+                wrap_name = self.wrap(measured)
+                passes = frozenset({measured, "z"})
                 start_resets: FrozenSet[str] = frozenset()
             else:
-                wrap_name = self.wrap_div_sw(a)
+                wrap_name = self.wrap_sw(kind, a)
                 passes = frozenset()
                 start_resets = frozenset({b_var})
             b = _Builder(self, name)
@@ -347,35 +342,7 @@ class GadgetFactory:
                 b.port_urgent(b.rp(boxes[i]))
                 b.edge(b.rp(boxes[i]), f"next{i + 1}", b.cp(boxes[i + 1]))
             b.port_urgent(b.rp(boxes[-1]))
-            b.edge(b.rp(boxes[-1]), "seal", node(ex), guard=conj((a, "=", n)))
-            b.done()
-        return name
-
-    def mul_check(self, a: str, m: int) -> str:
-        """Verify that the measured delay t equals m*a: m wraps add
-        m*(1-a) to the holder of t, whose exit guard demands exactly m."""
-        b_var = _other(a)
-        holder = b_var if self.target == RTA3 else "u"
-        name = f"ChkM_{a}_{m}"
-        if not self._have(name):
-            if self.target == RTA3:
-                wrap_name = self.wrap(a)
-                passes = frozenset({a, "z"})
-                start_resets: FrozenSet[str] = frozenset()
-            else:
-                wrap_name = self.wrap_mul_sw(a)
-                passes = frozenset()
-                start_resets = frozenset({b_var})
-            b = _Builder(self, name)
-            en = b.node("en", entry=True, urgent=True)
-            ex = b.node("ex", exit_=True, urgent=True)
-            boxes = [b.box(f"w{i}", wrap_name, passes) for i in range(1, m + 1)]
-            b.edge(node(en), "start", b.cp(boxes[0]), resets=start_resets)
-            for i in range(m - 1):
-                b.port_urgent(b.rp(boxes[i]))
-                b.edge(b.rp(boxes[i]), f"next{i + 1}", b.cp(boxes[i + 1]))
-            b.port_urgent(b.rp(boxes[-1]))
-            b.edge(b.rp(boxes[-1]), "seal", node(ex), guard=conj((holder, "=", m)))
+            b.edge(b.rp(boxes[-1]), "seal", node(ex), guard=conj((sealed, "=", n)))
             b.done()
         return name
 
@@ -388,7 +355,7 @@ class GadgetFactory:
             raise CompileError(f"unsupported divisor {n}; expected one of {SUPPORTED_DIVISORS}")
         name = f"Div_{a}_{n}"
         if not self._have(name):
-            self._scaler(name, "div", a, n, self.div_check(a, n))
+            self._scaler(name, "div", a, n)
         return name
 
     def mul(self, a: str, m: int) -> str:
@@ -398,11 +365,12 @@ class GadgetFactory:
             raise CompileError(f"unsupported factor {m}; expected one of {SUPPORTED_FACTORS}")
         name = f"Mul_{a}_{m}"
         if not self._have(name):
-            self._scaler(name, "mul", a, m, self.mul_check(a, m))
+            self._scaler(name, "mul", a, m)
         return name
 
-    def _scaler(self, name: str, kind: str, a: str, n: int, check_name: str) -> None:
+    def _scaler(self, name: str, kind: str, a: str, n: int) -> None:
         """Common two-delay skeleton of dividers and multipliers."""
+        check_name = self.check(kind, a, n)
         b_var = _other(a)
         self.gadget_params[name] = (kind, a, n)
         b = _Builder(self, name)
@@ -667,35 +635,42 @@ def compile(machine: TwoCounterMachine, target: str) -> CompiledArena:
                 target_idx = ins.next_if_zero
             main.edge(port, f"goto{k}_{label}", main.cp(boxes[target_idx]))
     main.done()
+    return _finish(
+        factory, "Main", expected_valuation(0, 0, 0),
+        instruction_anchor={k: node(f"I{k}.en") for k in range(len(machine.instructions))},
+        gadget_slots=slot_maps,
+    )
 
-    ordered = [factory.components["Main"]] + [
-        comp for name, comp in factory.components.items() if name != "Main"
+
+def _finish(factory: GadgetFactory, host: str, entry_values: Dict[str, Rational], **bookkeeping) -> CompiledArena:
+    """Close a build whose outermost component is ``host``: put it first,
+    check the model against its target class, and start it at
+    ``entry_values`` (other variables 0)."""
+    ordered = [factory.components[host]] + [
+        comp for name, comp in factory.components.items() if name != host
     ]
     model = RhaModel(factory.variables, ordered)
-
     problems = validate_rha(model)
     if problems:
-        raise CompileError("compiled arena fails validation: " + "; ".join(problems))
+        raise CompileError(f"{host} arena fails validation: " + "; ".join(problems))
     kind, _tags = classify(model)
-    if target == RTA3 and kind != "timed":
+    if factory.target == RTA3 and kind != "timed":
         raise CompileError(f"rta3 arena classified as {kind}")
-    if target == RSA4 and (kind != "stopwatch" or not is_glitch_free(model)):
+    if factory.target == RSA4 and (kind != "stopwatch" or not is_glitch_free(model)):
         raise CompileError("rsa4 arena must be a glitch-free stopwatch automaton")
 
     initial = {v: Fraction(0) for v in factory.variables}
-    initial.update(expected_valuation(0, 0, 0))
-    slot_maps = {k: dict(v) for k, v in slot_maps.items()}
+    for k, v in entry_values.items():
+        initial[k] = rat(v)
     return CompiledArena(
         model=model,
         partition=dict(factory.partition),
         finals=frozenset(factory.finals),
-        entry=node("Main.en"),
+        entry=node(f"{host}.en"),
         initial_valuation=initial,
-        target=target,
-        time_bound=Fraction(4),
-        instruction_anchor={k: node(f"I{k}.en") for k in range(len(machine.instructions))},
-        gadget_slots=slot_maps,
+        target=factory.target,
         gadget_params=dict(factory.gadget_params),
+        **bookkeeping,
     )
 
 
@@ -765,32 +740,8 @@ def host_arena(bundle: GadgetBundle, entry_values: Dict[str, Rational], target: 
         b.port_urgent(port)
         b.edge(port, f"out{i}", node(done))
     b.done()
-
-    ordered = [factory.components["Host"]] + [
-        comp for name, comp in factory.components.items() if name != "Host"
-    ]
-    model = RhaModel(factory.variables, ordered)
-    problems = validate_rha(model)
-    if problems:
-        raise CompileError("host arena fails validation: " + "; ".join(problems))
-    initial = {v: Fraction(0) for v in factory.variables}
-    for k, v in entry_values.items():
-        initial[k] = rat(v)
-    if bundle.name in bundle.gadget_params:
-        slots = {0: {g: "div1"}}
-    else:
-        slots = {0: dict(bundle.slots)}
-    return CompiledArena(
-        model=model,
-        partition=dict(factory.partition),
-        finals=frozenset(factory.finals),
-        entry=node("Host.en"),
-        initial_valuation=initial,
-        target=target,
-        time_bound=Fraction(4),
-        gadget_slots=slots,
-        gadget_params=dict(factory.gadget_params),
-    )
+    slots = {g: "div1"} if bundle.name in bundle.gadget_params else dict(bundle.slots)
+    return _finish(factory, "Host", entry_values, gadget_slots={0: slots})
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +750,6 @@ def host_arena(bundle: GadgetBundle, entry_values: Dict[str, Rational], target: 
 
 
 def arena_to_json(arena: CompiledArena) -> Tuple[dict, dict]:
-    from .rha import rha_model_to_json
-
     model_json = rha_model_to_json(
         arena.model,
         start=arena.entry.name,
@@ -821,20 +770,31 @@ def arena_to_json(arena: CompiledArena) -> Tuple[dict, dict]:
 
 
 def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
-    from .rha import rha_model_from_json
-
+    """Load an arena; raises ``ParseError`` when the model is not well
+    formed or the sidecar lacks a field or does not fit the model."""
     model, _start, partition, finals = rha_model_from_json(model_json)
     if partition is None or finals is None:
         raise ModelError("arena JSON must carry partition and finals")
-    return CompiledArena(
-        model=model,
-        partition=partition,
-        finals=finals,
-        entry=parse_location(sidecar["entry"]),
-        initial_valuation={k: rat(v) for k, v in sidecar["initialValuation"].items()},
-        target=sidecar["target"],
-        time_bound=rat(sidecar["time_bound"]),
-        instruction_anchor={int(k): parse_location(v) for k, v in sidecar.get("anchors", {}).items()},
-        gadget_slots={int(k): dict(v) for k, v in sidecar.get("slots", {}).items()},
-        gadget_params={k: tuple(v) for k, v in sidecar.get("gadgetParams", {}).items()},
-    )
+    problems = validate_rha(model)
+    if problems:
+        raise ParseError("arena model is not well formed: " + "; ".join(problems))
+    try:
+        arena = CompiledArena(
+            model=model,
+            partition=partition,
+            finals=finals,
+            entry=parse_location(sidecar["entry"]),
+            initial_valuation={k: rat(v) for k, v in sidecar["initialValuation"].items()},
+            target=sidecar["target"],
+            time_bound=rat(sidecar["time_bound"]),
+            instruction_anchor={int(k): parse_location(v) for k, v in sidecar.get("anchors", {}).items()},
+            gadget_slots={int(k): dict(v) for k, v in sidecar.get("slots", {}).items()},
+            gadget_params={k: tuple(v) for k, v in sidecar.get("gadgetParams", {}).items()},
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"bad arena sidecar: {exc!r}") from exc
+    if arena.entry not in model.all_locations():
+        raise ParseError(f"arena sidecar: entry {arena.entry} is not a location of the model")
+    if set(arena.initial_valuation) != set(model.variables):
+        raise ParseError("arena sidecar: initialValuation must value exactly the model's variables")
+    return arena

@@ -19,7 +19,22 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 from .arith import Rational, Valuation, advance, fmt, rat, reset, restore
 from .errors import ModelError, MoveError, ParseError
 from .games import Player
-from .rsm import CALL_ACTION, RET_ACTION, Location, call, node, parse_location, ret
+from .rsm import (
+    CALL_ACTION,
+    RET_ACTION,
+    Location,
+    RsmComponent,
+    RsmModel,
+    callee_first_order,
+    component_from_json,
+    component_to_json,
+    game_from_json,
+    game_to_json,
+    node,
+    parse_location,
+    ret,
+    validate,
+)
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -150,21 +165,15 @@ def constraint_delays(constraint: RectConstraint, valuation: Valuation, flow: Ma
 
 
 @dataclass
-class RhaComponent:
-    name: str
-    nodes: Tuple[str, ...]
-    entries: Tuple[str, ...]
-    exits: Tuple[str, ...]
-    boxes: Dict[str, str]
+class RhaComponent(RsmComponent):
+    """An RSM component whose boxes pass variable sets by value and whose
+    transitions and locations carry guards, resets, invariants and flows."""
+
     pass_by_value: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    transitions: Dict[Tuple[Location, str], Location] = field(default_factory=dict)
     guards: Dict[Tuple[Location, str], RectConstraint] = field(default_factory=dict)
     invariants: Dict[Location, RectConstraint] = field(default_factory=dict)
-    resets: Dict[str, FrozenSet[str]] = field(default_factory=dict)
+    resets: Dict[Tuple[Location, str], FrozenSet[str]] = field(default_factory=dict)
     flows: Dict[Location, Dict[str, Rational]] = field(default_factory=dict)
-
-    def actions_at(self, loc: Location) -> Tuple[str, ...]:
-        return tuple(a for (src, a) in self.transitions if src == loc)
 
     def guard(self, loc: Location, action: str) -> RectConstraint:
         return self.guards.get((loc, action), TRUE)
@@ -172,57 +181,22 @@ class RhaComponent:
     def invariant(self, loc: Location) -> RectConstraint:
         return self.invariants.get(loc, TRUE)
 
-    def reset_set(self, action: str) -> FrozenSet[str]:
-        return self.resets.get(action, frozenset())
+    def reset_set(self, loc: Location, action: str) -> FrozenSet[str]:
+        return self.resets.get((loc, action), frozenset())
 
 
-class RhaModel:
+class RhaModel(RsmModel):
     """A variable set plus components; structurally an RSM whose
     locations carry invariants, flows, guards, and resets."""
 
     def __init__(self, variables: Iterable[str], components: Iterable[RhaComponent]):
+        super().__init__(components)
         self.variables: Tuple[str, ...] = tuple(variables)
-        self.components: Tuple[RhaComponent, ...] = tuple(components)
-        self.by_name: Dict[str, RhaComponent] = {c.name: c for c in self.components}
-        self._node_home: Dict[str, str] = {}
-        self._box_home: Dict[str, str] = {}
-        for comp in self.components:
-            for n in comp.nodes:
-                self._node_home.setdefault(n, comp.name)
-            for b in comp.boxes:
-                self._box_home.setdefault(b, comp.name)
-
-    def component_of_box(self, box: str) -> RhaComponent:
-        return self.by_name[self._box_home[box]]
-
-    def callee_of_box(self, box: str) -> RhaComponent:
-        return self.by_name[self.component_of_box(box).boxes[box]]
-
-    def component_of_location(self, loc: Location) -> RhaComponent:
-        if loc.kind == "node":
-            return self.by_name[self._node_home[loc.name]]
-        return self.component_of_box(loc.box)
-
-    def locations(self, comp: RhaComponent) -> List[Location]:
-        locs = [node(n) for n in comp.nodes]
-        for b, callee_name in comp.boxes.items():
-            callee = self.by_name[callee_name]
-            locs.extend(call(b, en) for en in callee.entries)
-            locs.extend(ret(b, ex) for ex in callee.exits)
-        return locs
-
-    def all_locations(self) -> List[Location]:
-        out: List[Location] = []
-        for comp in self.components:
-            out.extend(self.locations(comp))
-        return out
+        # Shared by every location without a declared flow; callers only read it.
+        self._unit_flow: Dict[str, Rational] = {x: Rational(1) for x in self.variables}
 
     def flow_at(self, loc: Location) -> Dict[str, Rational]:
-        comp = self.component_of_location(loc)
-        flow = comp.flows.get(loc)
-        if flow is None:
-            return {x: Rational(1) for x in self.variables}
-        return flow
+        return self.component_of_location(loc).flows.get(loc, self._unit_flow)
 
     def pass_set(self, box: str) -> FrozenSet[str]:
         return self.component_of_box(box).pass_by_value.get(box, frozenset())
@@ -231,15 +205,7 @@ class RhaModel:
 def validate_rha(model: RhaModel) -> List[str]:
     """Structural RSM checks plus hybrid-specific ones (pass sets,
     flow totality and nonnegativity, guard/invariant variables)."""
-    from .rsm import RsmComponent, RsmModel, validate as validate_rsm
-
-    skeleton = RsmModel(
-        [
-            RsmComponent(c.name, c.nodes, c.entries, c.exits, dict(c.boxes), dict(c.transitions))
-            for c in model.components
-        ]
-    )
-    errors = validate_rsm(skeleton)
+    errors = validate(model)
     varset = set(model.variables)
     for comp in model.components:
         for b, passed in comp.pass_by_value.items():
@@ -257,9 +223,9 @@ def validate_rha(model: RhaModel) -> List[str]:
             for atom in constraint.atoms:
                 if atom.var not in varset:
                     errors.append(f"{comp.name}: constraint on unknown variable {atom.var}")
-        for action, cleared in comp.resets.items():
+        for (src, action), cleared in comp.resets.items():
             if not set(cleared) <= varset:
-                errors.append(f"{comp.name}: reset of unknown variables on {action}")
+                errors.append(f"{comp.name}: reset of unknown variables on {action} at {src}")
     return errors
 
 
@@ -281,34 +247,17 @@ def is_glitch_free(model: RhaModel) -> bool:
 
 def is_hierarchical(model: RhaModel) -> bool:
     """True iff the component call graph admits a strict topological order."""
-    calls = {c.name: {callee for callee in c.boxes.values()} for c in model.components}
-    state: Dict[str, int] = {}  # 0 visiting, 1 done
-
-    def has_cycle(name: str) -> bool:
-        mark = state.get(name)
-        if mark == 0:
-            return True
-        if mark == 1:
-            return False
-        state[name] = 0
-        if any(has_cycle(callee) for callee in calls[name]):
-            return True
-        state[name] = 1
-        return False
-
-    return not any(has_cycle(c.name) for c in model.components)
+    return callee_first_order(model) is not None
 
 
 def classify(model: RhaModel) -> Tuple[str, Dict[str, str]]:
     """Classify the automaton as timed / stopwatch / general, along with
     a per-variable tag: a clock has rate 1 everywhere, a stopwatch rate
     0 or 1 everywhere."""
+    flows = [model.flow_at(loc) for loc in model.all_locations()]
     tags: Dict[str, str] = {}
     for x in model.variables:
-        rates = set()
-        for comp in model.components:
-            for loc in model.locations(comp):
-                rates.add(model.flow_at(loc)[x])
+        rates = {flow[x] for flow in flows}
         if rates <= {Rational(1)}:
             tags[x] = "clock"
         elif rates <= {Rational(0), Rational(1)}:
@@ -472,7 +421,7 @@ def timed_step(model: RhaModel, config: RhaConfiguration, move: TimedAction) -> 
         raise MoveError(f"delay {move.delay} violates the invariant at {loc}{bound}")
     if not comp.guard(loc, move.action).holds(after):
         raise MoveError(f"guard of {move.action!r} unsatisfied after delay {move.delay} at {loc}")
-    resulting = reset(after, comp.reset_set(move.action))
+    resulting = reset(after, comp.reset_set(loc, move.action))
     target = comp.transitions[(loc, move.action)]
     target_comp = model.component_of_location(target)
     if not target_comp.invariant(target).holds(resulting):
@@ -521,61 +470,41 @@ def constraint_to_json(constraint: RectConstraint):
 def constraint_from_json(data) -> RectConstraint:
     if data == "false":
         return FALSE
-    return RectConstraint(tuple(Atom(a["var"], a["rel"], int(a["bound"])) for a in data))
+    atoms = tuple(Atom(a["var"], a["rel"], int(a["bound"])) for a in data)
+    for atom in atoms:
+        if atom.rel not in RELATIONS:
+            raise ParseError(f"unknown relation {atom.rel!r}; expected one of {RELATIONS}")
+    return RectConstraint(atoms)
 
 
 def rha_component_to_json(comp: RhaComponent) -> dict:
-    return {
-        "name": comp.name,
-        "nodes": list(comp.nodes),
-        "entries": list(comp.entries),
-        "exits": list(comp.exits),
-        "boxes": [
-            {
-                "name": b,
-                "callee": callee,
-                "passByValue": sorted(comp.pass_by_value.get(b, frozenset())),
-            }
-            for b, callee in comp.boxes.items()
-        ],
-        "transitions": [
-            {
-                "from": str(src),
-                "action": action,
-                "to": str(dst),
-                "guard": constraint_to_json(comp.guard(src, action)),
-                "resets": sorted(comp.reset_set(action)),
-            }
-            for (src, action), dst in comp.transitions.items()
-        ],
-        "invariants": {str(loc): constraint_to_json(c) for loc, c in comp.invariants.items()},
-        "flows": {
-            str(loc): {x: fmt(r) for x, r in flow.items()} for loc, flow in comp.flows.items()
-        },
+    data = component_to_json(comp)
+    for box in data["boxes"]:
+        box["passByValue"] = sorted(comp.pass_by_value.get(box["name"], frozenset()))
+    for record, (src, action) in zip(data["transitions"], comp.transitions):
+        record["guard"] = constraint_to_json(comp.guard(src, action))
+        record["resets"] = sorted(comp.reset_set(src, action))
+    data["invariants"] = {str(loc): constraint_to_json(c) for loc, c in comp.invariants.items()}
+    data["flows"] = {
+        str(loc): {x: fmt(r) for x, r in flow.items()} for loc, flow in comp.flows.items()
     }
+    return data
 
 
 def rha_component_from_json(data: dict) -> RhaComponent:
+    # Parse the RSM fields once, then add the hybrid annotations to them.
+    comp = RhaComponent(**vars(component_from_json(data)))
     try:
-        comp = RhaComponent(
-            name=data["name"],
-            nodes=tuple(data["nodes"]),
-            entries=tuple(data["entries"]),
-            exits=tuple(data["exits"]),
-            boxes={b["name"]: b["callee"] for b in data.get("boxes", [])},
-            pass_by_value={
-                b["name"]: frozenset(b.get("passByValue", [])) for b in data.get("boxes", [])
-            },
-        )
+        for b in data.get("boxes", []):
+            comp.pass_by_value[b["name"]] = frozenset(b.get("passByValue", []))
         for t in data.get("transitions", []):
-            src, action = parse_location(t["from"]), t["action"]
-            comp.transitions[(src, action)] = parse_location(t["to"])
+            key = (parse_location(t["from"]), t["action"])
             guard = constraint_from_json(t.get("guard", []))
             if guard != TRUE:
-                comp.guards[(src, action)] = guard
+                comp.guards[key] = guard
             resets = frozenset(t.get("resets", []))
             if resets:
-                comp.resets[action] = resets
+                comp.resets[key] = resets
         for loc_text, c in data.get("invariants", {}).items():
             comp.invariants[parse_location(loc_text)] = constraint_from_json(c)
         for loc_text, flow in data.get("flows", {}).items():
@@ -595,16 +524,7 @@ def rha_model_to_json(
         "variables": list(model.variables),
         "components": [rha_component_to_json(c) for c in model.components],
     }
-    if start is not None:
-        data["start"] = start
-    if partition is not None:
-        data["partition"] = {
-            "achilles": sorted(str(l) for l, p in partition.items() if p is Player.ACHILLES),
-            "tortoise": sorted(str(l) for l, p in partition.items() if p is Player.TORTOISE),
-        }
-    if finals is not None:
-        data["finals"] = sorted(str(l) for l in finals)
-    return data
+    return game_to_json(data, start, partition, finals)
 
 
 def rha_model_from_json(data: dict):
@@ -616,14 +536,5 @@ def rha_model_from_json(data: dict):
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad model record: {exc}") from exc
-    start = data.get("start")
-    partition = None
-    if "partition" in data:
-        partition = {}
-        for key, player in (("achilles", Player.ACHILLES), ("tortoise", Player.TORTOISE)):
-            for text in data["partition"].get(key, []):
-                partition[parse_location(text)] = player
-    finals = None
-    if "finals" in data:
-        finals = frozenset(parse_location(text) for text in data["finals"])
+    start, partition, finals = game_from_json(data)
     return model, start, partition, finals

@@ -52,10 +52,10 @@ def ret(box: str, exit_: str) -> Location:
 
 
 def parse_location(text: str) -> Location:
-    parts = text.split(":")
-    if parts[0] == "node" and len(parts) == 2:
+    parts = text.split(":") if isinstance(text, str) else []
+    if len(parts) == 2 and parts[0] == "node":
         return node(parts[1])
-    if parts[0] in ("call", "ret") and len(parts) == 3:
+    if len(parts) == 3 and parts[0] in ("call", "ret"):
         return Location(parts[0], parts[1], parts[2])
     raise ParseError(f"bad location {text!r}")
 
@@ -142,10 +142,13 @@ def validate(model: RsmModel) -> List[str]:
         if dup_boxes:
             errors.append(f"{comp.name}: box names reused across components: {sorted(dup_boxes)}")
         seen_boxes |= set(comp.boxes)
+        unknown_callees = False
         for b, callee in comp.boxes.items():
             if callee not in names:
                 errors.append(f"{comp.name}: box {b} calls unknown component {callee}")
-        valid_locs = set(model.locations(comp)) if not errors else None
+                unknown_callees = True
+        # The ports of a box are only known when its callee is.
+        valid_locs = None if unknown_callees else set(model.locations(comp))
         for (src, action), dst in comp.transitions.items():
             if src.kind == "call":
                 errors.append(f"{comp.name}: call port {src} has an outgoing transition")
@@ -302,10 +305,9 @@ def _check_partition(model: RsmModel, partition: GamePartition) -> None:
         raise ModelError(f"partition is not total; missing {[str(m) for m in missing]}")
 
 
-def _component_sweep_order(model: RsmModel) -> List[str]:
-    """Callee-first component order when the call graph is acyclic, so
-    callee summaries stabilize before their callers read them; falls
-    back to declaration order (plain round-robin) on recursion."""
+def callee_first_order(model: RsmModel) -> Optional[List[str]]:
+    """Component names ordered so that every callee precedes its callers,
+    or None when the call graph has a cycle (the machine is recursive)."""
     calls = {c.name: sorted({callee for callee in c.boxes.values()}) for c in model.components}
     order: List[str] = []
     state: Dict[str, int] = {}  # 0 visiting, 1 done
@@ -326,7 +328,7 @@ def _component_sweep_order(model: RsmModel) -> List[str]:
 
     for comp in model.components:
         if not visit(comp.name):
-            return [c.name for c in model.components]
+            return None
     return order
 
 
@@ -343,9 +345,13 @@ def _game_fixpoint(model: RsmModel, partition: GamePartition, finals: FrozenSet[
     }
 
     # Sweep locations component by component (callees first on acyclic
-    # call graphs) until stable; the outer loop covers recursion, where
-    # no single evaluation order is exact.
-    rank = {name: i for i, name in enumerate(_component_sweep_order(model))}
+    # call graphs, so callee summaries stabilize before their callers read
+    # them; declaration order on recursion) until stable; the outer loop
+    # covers recursion, where no single evaluation order is exact.
+    sweep = callee_first_order(model)
+    if sweep is None:
+        sweep = [c.name for c in model.components]
+    rank = {name: i for i, name in enumerate(sweep)}
     order = sorted(home.items(), key=lambda item: (rank[item[1].name], str(item[0])))
     changed = True
     while changed:
@@ -464,13 +470,13 @@ def component_from_json(data: dict) -> RsmComponent:
     return comp
 
 
-def model_to_json(
-    model: RsmModel,
+def game_to_json(
+    data: dict,
     start: str = None,
     partition: GamePartition = None,
     finals: Iterable[Location] = None,
 ) -> dict:
-    data = {"components": [component_to_json(c) for c in model.components]}
+    """Add the game fields that are given to a model record and return it."""
     if start is not None:
         data["start"] = start
     if partition is not None:
@@ -483,6 +489,35 @@ def model_to_json(
     return data
 
 
+def game_from_json(data: dict):
+    """The game fields of a model record: (start, partition, finals),
+    each None when absent."""
+    start = data.get("start")
+    partition = None
+    finals = None
+    try:
+        if "partition" in data:
+            partition = {}
+            for key, player in (("achilles", Player.ACHILLES), ("tortoise", Player.TORTOISE)):
+                for text in data["partition"].get(key, []):
+                    partition[parse_location(text)] = player
+        if "finals" in data:
+            finals = frozenset(parse_location(text) for text in data["finals"])
+    except (AttributeError, TypeError) as exc:
+        raise ParseError(f"bad game fields: {exc}") from exc
+    return start, partition, finals
+
+
+def model_to_json(
+    model: RsmModel,
+    start: str = None,
+    partition: GamePartition = None,
+    finals: Iterable[Location] = None,
+) -> dict:
+    data = {"components": [component_to_json(c) for c in model.components]}
+    return game_to_json(data, start, partition, finals)
+
+
 def model_from_json(data: dict):
     """Parse the JSON model format; returns (model, start, partition, finals)
     where the game fields are None when absent."""
@@ -490,14 +525,5 @@ def model_from_json(data: dict):
         model = RsmModel([component_from_json(c) for c in data["components"]])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad model record: {exc}") from exc
-    start = data.get("start")
-    partition = None
-    if "partition" in data:
-        partition = {}
-        for key, player in (("achilles", Player.ACHILLES), ("tortoise", Player.TORTOISE)):
-            for text in data["partition"].get(key, []):
-                partition[parse_location(text)] = player
-    finals = None
-    if "finals" in data:
-        finals = frozenset(parse_location(text) for text in data["finals"])
+    start, partition, finals = game_from_json(data)
     return model, start, partition, finals

@@ -98,7 +98,7 @@ def one_clock_rta(extra_variable: bool = False) -> RhaModel:
         (node("q1"), "s1"): conj(("x", "=", 1)),
         (node("q1"), "s2"): conj(("x", "<", 1)),
     }
-    m2.resets = {"s2": frozenset({"x"})}
+    m2.resets = {(node("q1"), "s2"): frozenset({"x"})}
     return RhaModel(variables, [m1, m2])
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fixtures import flat_game_arena_model
 from rhagames.cli import main
 from rhagames.rsm import model_to_json, node
@@ -21,6 +23,11 @@ def write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content, encoding="utf-8")
     return str(path)
+
+
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # -- tcm-run ---------------------------------------------------------------------
@@ -163,6 +170,20 @@ def test_rsm_solve_missing_partition_exits_2(tmp_path, capsys):
     assert "partition" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("partition", ["node:s0"]), ("finals", [5])],
+    ids=["partition-list", "finals-number"],
+)
+def test_rsm_solve_malformed_game_field_exits_2(tmp_path, capsys, field, value):
+    model, partition = flat_game_arena_model()
+    data = model_to_json(model, start="s0", partition=partition, finals=[node("goal")])
+    data[field] = value
+    path = write(tmp_path, "game.json", json.dumps(data))
+    code, _, err = run_cli(capsys, "rsm-solve", path)
+    assert_one_line_error(code, err)
+
+
 # -- check -------------------------------------------------------------------------
 
 
@@ -200,3 +221,54 @@ def test_check_empty_machine_vacuous_pass(tmp_path, capsys):
 def test_check_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "/nonexistent/a.json", "/nonexistent/m.tcm")
     assert code == 2
+
+
+# -- malformed arenas ---------------------------------------------------------------
+
+
+def _edit_json(path, change):
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    change(data)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+
+
+def _first_transition(arena):
+    return next(c for c in arena["components"] if c["transitions"])["transitions"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda side: side.pop("entry"), "entry"),
+        (lambda side: side.update(entry="node:nowhere"), "node:nowhere"),
+        (lambda side: side["initialValuation"].pop("z"), "initialValuation"),
+    ],
+    ids=["missing-entry", "unknown-entry", "partial-valuation"],
+)
+def test_check_bad_sidecar_exits_2(tmp_path, capsys, edit, named):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    _edit_json(str(tmp_path / "arena.sidecar.json"), edit)
+    code, _, err = run_cli(capsys, "check", arena_path, machine_path)
+    assert_one_line_error(code, err)
+    assert named in err
+
+
+def test_simulate_transition_to_unknown_node_exits_2(tmp_path, capsys):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    _edit_json(arena_path, lambda arena: _first_transition(arena).update(to="node:nowhere"))
+    code, _, err = run_cli(capsys, "simulate", arena_path, machine_path)
+    assert_one_line_error(code, err)
+    assert "node:nowhere" in err
+
+
+def test_check_unknown_guard_relation_exits_2(tmp_path, capsys):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    _edit_json(
+        arena_path,
+        lambda arena: _first_transition(arena).update(guard=[{"var": "x", "rel": "~", "bound": 1}]),
+    )
+    code, _, err = run_cli(capsys, "check", arena_path, machine_path)
+    assert_one_line_error(code, err)
+    assert "'~'" in err

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fixtures import one_clock_rta
-from rhagames.arith import make_valuation
+from rhagames.arith import fmt, make_valuation
 from rhagames.errors import MoveError
 from rhagames.rha import (
     CALL_ACTION,
+    RELATIONS,
     RET_ACTION,
     RhaComponent,
     RhaConfiguration,
@@ -66,8 +69,8 @@ def two_var_model(flows=None, pass_sets=None, invariants=None, guards=None, rese
         model.by_name[comp].invariants[node(loc_name)] = inv
     for (comp, loc_name, action), g in (guards or {}).items():
         model.by_name[comp].guards[(node(loc_name), action)] = g
-    for (comp, action), rs in (resets or {}).items():
-        model.by_name[comp].resets[action] = frozenset(rs)
+    for (comp, loc_name, action), rs in (resets or {}).items():
+        model.by_name[comp].resets[(node(loc_name), action)] = frozenset(rs)
     assert validate_rha(model) == []
     return model
 
@@ -155,7 +158,7 @@ def test_return_at_empty_context_is_terminal():
 def test_internal_step_reset_dominates_flow():
     model = two_var_model(
         guards={("W", "wm", "w_out"): conj(("x", "<", 1))},
-        resets={("W", "w_out"): ("x",)},
+        resets={("W", "wm", "w_out"): ("x",)},
     )
     config = RhaConfiguration((), node("wm"), make_valuation(("x", "y"), {}))
     nxt = timed_step(model, config, TimedAction(Fraction(1, 2), "w_out"))
@@ -307,3 +310,96 @@ def test_rha_json_serializes_constraints_and_rationals():
         if t["action"] == "w_out"
     ][0]
     assert trans["guard"] == [{"var": "y", "rel": ">=", "bound": 2}]
+
+
+def test_resets_belong_to_one_transition_not_to_its_label():
+    def transition(src, dst, resets):
+        return {"from": src, "action": "go", "to": dst, "guard": [], "resets": resets}
+
+    data = {
+        "variables": ["x"],
+        "components": [
+            {
+                "name": "C",
+                "nodes": ["a", "b", "c"],
+                "entries": ["a"],
+                "exits": [],
+                "boxes": [],
+                "transitions": [
+                    transition("node:a", "node:b", ["x"]),
+                    transition("node:b", "node:c", []),
+                ],
+                "invariants": {},
+                "flows": {},
+            }
+        ],
+    }
+    model, _, _, _ = rha_model_from_json(data)
+    assert rha_model_to_json(model) == data
+    config = RhaConfiguration((), node("b"), {"x": Fraction(1, 2)})
+    after = timed_step(model, config, TimedAction(Fraction(0), "go"))
+    assert after.valuation == {"x": Fraction(1, 2)}
+
+
+@st.composite
+def rha_documents(draw):
+    """A canonical RHA model document: rerunning the codec must give it
+    back unchanged.  One label sits on two transitions with different
+    resets; guards and invariants may be "false"; flows are rational."""
+    variables = draw(st.lists(st.sampled_from(("x", "y", "z", "u")), min_size=1, unique=True))
+    subsets = st.lists(st.sampled_from(variables), unique=True).map(sorted)
+    atom = st.fixed_dictionaries(
+        {"var": st.sampled_from(variables), "rel": st.sampled_from(RELATIONS), "bound": st.integers(0, 5)}
+    )
+    constraint = st.one_of(st.just("false"), st.lists(atom, max_size=2))
+    rate = st.fractions(min_value=0, max_value=3, max_denominator=6).map(fmt)
+    nodes = [[f"c{i}n{j}" for j in range(draw(st.integers(2, 4)))] for i in range(draw(st.integers(1, 3)))]
+    components, locations = [], []
+    for i, own in enumerate(nodes):
+        boxes = [
+            {"name": f"c{i}b{k}", "callee": f"C{callee}", "passByValue": draw(subsets)}
+            for k, callee in enumerate(draw(st.lists(st.integers(0, len(nodes) - 1), max_size=2)))
+        ]
+        locs = [f"node:{n}" for n in own]
+        for box in boxes:
+            callee_nodes = nodes[int(box["callee"][1:])]
+            locs += [f"call:{box['name']}:{callee_nodes[0]}", f"ret:{box['name']}:{callee_nodes[-1]}"]
+        first_resets = draw(subsets)
+        shared = [(locs[0], first_resets), (locs[1], draw(subsets.filter(lambda r: r != first_resets)))]
+        others = [(src, draw(subsets)) for src in draw(st.lists(st.sampled_from(locs), max_size=3))]
+        transitions = [
+            {"from": src, "action": action, "to": draw(st.sampled_from(locs)),
+             "guard": draw(constraint), "resets": resets}
+            for action, (src, resets) in [("go", t) for t in shared] + [(f"a{k}", t) for k, t in enumerate(others)]
+        ]
+        components.append({
+            "name": f"C{i}",
+            "nodes": own,
+            "entries": own[:1],
+            "exits": own[-1:],
+            "boxes": boxes,
+            "transitions": transitions,
+            "invariants": {loc: draw(constraint) for loc in draw(st.lists(st.sampled_from(locs), unique=True))},
+            "flows": {
+                loc: {x: draw(rate) for x in variables}
+                for loc in draw(st.lists(st.sampled_from(locs), unique=True))
+            },
+        })
+        locations += locs
+    achilles = draw(st.lists(st.sampled_from(locations), unique=True))
+    return {
+        "variables": variables,
+        "components": components,
+        "start": nodes[0][0],
+        "partition": {
+            "achilles": sorted(achilles),
+            "tortoise": sorted(loc for loc in locations if loc not in achilles),
+        },
+        "finals": sorted(draw(st.lists(st.sampled_from(locations), unique=True))),
+    }
+
+
+@given(rha_documents())
+def test_rha_json_round_trip_of_random_documents(data):
+    model, start, partition, finals = rha_model_from_json(data)
+    assert rha_model_to_json(model, start, partition, finals) == data

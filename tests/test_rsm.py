@@ -64,6 +64,15 @@ def test_duplicate_node_names_across_components_reported():
     assert any("reused across components" in e for e in errors)
 
 
+def test_unknown_locations_reported_after_an_earlier_error():
+    a = RsmComponent("A", ("n",), ("n",), ("n",), {})
+    b = RsmComponent("B", ("m",), ("m",), (), {})
+    b.transitions[(node("m"), "go")] = node("ghost")
+    errors = validate(RsmModel([a, b]))
+    assert any("A: entries and exits overlap" in e for e in errors)
+    assert any("B: transition uses unknown location node:ghost" in e for e in errors)
+
+
 # -- step semantics ----------------------------------------------------------
 
 
@@ -279,6 +288,16 @@ def test_json_round_trip_preserves_model_and_game_fields():
     assert finals2 == frozenset([node("u4")])
     assert partition2 == partition
     assert model_to_json(model2, "u1", partition2, finals2) == data
+
+
+@given(st.integers(0, 10**6))
+def test_json_round_trip_of_random_games(seed):
+    model, partition, start, finals = random_hierarchical_game(seed)
+    data = model_to_json(model, start, partition, finals)
+    model2, start2, partition2, finals2 = model_from_json(data)
+    assert model2.components == model.components
+    assert (start2, partition2, finals2) == (start, partition, finals)
+    assert model_to_json(model2, start2, partition2, finals2) == data
 
 
 def test_location_serialization():
