@@ -22,9 +22,12 @@ from .compiler import arena_from_json, arena_to_json, compile as compile_machine
 from .errors import CompileError, HarnessError, ModelError, MoveError, ParseError, StrategyError
 from .harness import (
     DEFAULT_STEP_BOUND,
+    canonical_slot,
     check_encoding,
     check_time_ledger,
+    count_free_delays,
     deviated_achilles,
+    enumerate_verify_addresses,
     export_trace,
     faithful_achilles,
     playout,
@@ -105,26 +108,44 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _tortoise_from_spec(arena, spec: str):
+def _tortoise_from_spec(arena, machine, spec: str):
+    """Tortoise for ``--tortoise``: the address of ``verify:STEP:SLOT``
+    must be crossed by the faithful unverified run."""
     if spec == "skip":
         return tortoise_skip_all(arena)
     if spec.startswith("verify:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise HarnessError(f"bad --tortoise value {spec!r}; expected verify:STEP:SLOT")
-        return tortoise_verify_at(arena, int(parts[1]), parts[2])
+        step, slot = int(parts[1]), parts[2]
+        strategy = tortoise_verify_at(arena, step, slot)
+        if (step, canonical_slot(slot)) not in enumerate_verify_addresses(arena, machine):
+            raise HarnessError(f"--tortoise {spec}: the faithful run crosses no such decision")
+        return strategy
     raise HarnessError(f"bad --tortoise value {spec!r}")
+
+
+def _achilles_from_spec(arena, machine, spec):
+    """Achilles for ``--deviate STEP:OFFSET`` (faithful when absent): STEP
+    must be an ordinal of a free delay of the faithful unverified run."""
+    if spec is None:
+        return faithful_achilles(machine, arena)
+    try:
+        step_text, offset_text = spec.split(":")
+        ordinal, offset = int(step_text), rat(offset_text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise HarnessError(f"bad --deviate value {spec!r}; expected STEP:OFFSET") from exc
+    delays = count_free_delays(arena, machine)
+    if not 0 <= ordinal < delays:
+        raise HarnessError(f"--deviate {spec}: step {ordinal} is not one of the {delays} free delays of the faithful run")
+    return deviated_achilles(machine, arena, ordinal, offset)
 
 
 def cmd_simulate(args) -> int:
     arena = _load_arena(args.arena, args.sidecar)
     machine = _load_machine(args.machine)
-    if args.deviate:
-        step_text, offset_text = args.deviate.split(":", 1)
-        achilles = deviated_achilles(machine, arena, int(step_text), rat(offset_text))
-    else:
-        achilles = faithful_achilles(machine, arena)
-    tortoise = _tortoise_from_spec(arena, args.tortoise)
+    achilles = _achilles_from_spec(arena, machine, args.deviate)
+    tortoise = _tortoise_from_spec(arena, machine, args.tortoise)
     time_bound = None if args.time_bound == "none" else rat(args.time_bound)
     verdict = playout(arena, achilles, tortoise, step_bound=args.step_bound, time_bound=time_bound)
     if args.trace:
@@ -161,11 +182,7 @@ def cmd_rsm_solve(args) -> int:
 def cmd_check(args) -> int:
     arena = _load_arena(args.arena, args.sidecar)
     machine = _load_machine(args.machine)
-    if args.deviate:
-        step_text, offset_text = args.deviate.split(":", 1)
-        achilles = deviated_achilles(machine, arena, int(step_text), rat(offset_text))
-    else:
-        achilles = faithful_achilles(machine, arena)
+    achilles = _achilles_from_spec(arena, machine, args.deviate)
     verdict = playout(
         arena, achilles, tortoise_skip_all(arena),
         time_bound=arena.time_bound,

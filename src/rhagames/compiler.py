@@ -1,7 +1,8 @@
 """Compile two-counter machines into reachability-game arenas on
 recursive hybrid automata.
 
-Two targets are supported:
+Two targets are supported; ``Target`` records everything in which they
+differ:
 
 ``rta3``
     Three clocks x, y, z (all rates 1).  Delays are measured inside a
@@ -31,13 +32,16 @@ are asserted by Achilles and may be challenged by Tortoise, in which
 case Achilles must drive a scaling-chain certificate whose final
 equality guards can only be met when the assertion is true.
 
+The compiler declares the ``Role`` of every decision location it
+builds, so the playout harness never has to recover roles from names.
+
 The total time of a faithful unverified playout is below 4: instruction
 k costs less than 2 * 2^-k.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .arith import Rational, Valuation, fmt, rat
 from .errors import CompileError, ModelError, ParseError
@@ -56,14 +60,20 @@ from .rha import (
 from .rsm import Location, call, node, parse_location, ret
 from .tcm import Dec, Halt, Inc, TwoCounterMachine, ZeroCheck
 
-RTA3 = "rta3"
-RSA4 = "rsa4"
-TARGETS = (RTA3, RSA4)
-
 SUPPORTED_DIVISORS = (2, 3, 6, 12)
 SUPPORTED_FACTORS = (2, 3)
 
 URGENT = conj(("z", "=", 0))
+
+# The dividers each instruction applies, in order.
+_DIVIDER_CHAINS = {
+    ("inc", "c1"): [("y", 2), ("x", 12)],
+    ("inc", "c2"): [("y", 2), ("x", 6), ("x", 3)],
+    ("dec", "c1"): [("y", 2), ("x", 3)],
+    ("dec", "c2"): [("y", 2), ("x", 2)],
+    ("zerocheck", "c1"): [("y", 2), ("x", 6)],
+    ("zerocheck", "c2"): [("y", 2), ("x", 6)],
+}
 
 
 def expected_valuation(k: int, c: int, d: int) -> Valuation:
@@ -83,9 +93,95 @@ def _other(a: str) -> str:
     return "y" if a == "x" else "x"
 
 
+# ---------------------------------------------------------------------------
+# Decision roles
+# ---------------------------------------------------------------------------
+
+FIRST, SECOND = "first", "second"  # Achilles' two free delays of a scaler
+CHECK1, CHECK2 = "check1", "check2"  # Tortoise may audit the first / second delay
+BRANCH = "branch"  # Achilles asserts a zero-check branch
+POSITIVE, ZERO = "positive", "zero"  # Tortoise may challenge the asserted claim
+CERT = "cert"  # Achilles' choice inside a certificate
+
+# The fields each role kind carries besides its kind.
+_ROLE_FIELDS = {
+    FIRST: ("gadget", "holder"),
+    SECOND: ("gadget", "holder"),
+    CHECK1: ("gadget", "holder", "actions"),
+    CHECK2: ("gadget", "holder", "actions"),
+    BRANCH: ("actions",),
+    POSITIVE: ("counter", "actions"),
+    ZERO: ("counter", "actions"),
+    CERT: ("rule", "actions"),
+}
+TORTOISE_ROLES = frozenset({CHECK1, CHECK2, POSITIVE, ZERO})
+
+
+def _multiple_of_3(q: Rational) -> bool:
+    return q.denominator == 1 and q.numerator % 3 == 0
+
+
+# Tests of certificate rules, on the exact copies of x and y being rescaled.
+CERT_TESTS: Dict[str, Callable[[Rational, Rational], bool]] = {
+    "x=y": lambda x, y: x == y,
+    "x=1": lambda x, y: x == 1,
+    "y=1": lambda x, y: y == 1,
+    "3|y/x": lambda x, y: x != 0 and _multiple_of_3(y / x),
+    "3|1/x": lambda x, y: x != 0 and _multiple_of_3(1 / x),
+}
+
+
+@dataclass(frozen=True)
+class Role:
+    """The part a decision location plays in the reduction.
+
+    Delay and check roles carry their scaler's ``gadget`` parameters
+    (kind, operand, n) and the ``holder`` of its first measured delay.
+    ``actions`` are (verify, continue) at Tortoise's decisions, (positive,
+    zero) at a branch assertion, and at a certificate decision one action
+    per test of ``rule`` plus a last one: Achilles takes the action of the
+    first test that holds, else the last.  Claims name their ``counter``."""
+
+    kind: str
+    gadget: Optional[Tuple[str, str, int]] = None
+    holder: Optional[str] = None
+    actions: Tuple[str, ...] = ()
+    counter: Optional[str] = None
+    rule: Tuple[str, ...] = ()
+
+
+def _role_to_json(role: Role) -> dict:
+    return {k: v for k, v in asdict(role).items() if v}
+
+
+def _role_from_json(data: dict, variables: Tuple[str, ...]) -> Role:
+    """Parse one role record; ``ParseError`` unless its kind is known and
+    every field the harness reads for that kind is present and well typed
+    (an unknown field is a ``TypeError``)."""
+    role = Role(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    kind, operand, n = role.gadget or ("div", "x", 1)
+    well_formed = (
+        role.kind in _ROLE_FIELDS
+        and all(getattr(role, f) for f in _ROLE_FIELDS[role.kind])
+        and kind in ("div", "mul") and operand in variables and type(n) is int and n > 0
+        and role.holder in (None,) + variables
+        and role.counter in (None, "c1", "c2")
+        and all(test in CERT_TESTS for test in role.rule)
+        and len(role.actions) in ((len(role.rule) + 1,) if role.kind == CERT else (0, 2))
+        and all(isinstance(a, str) for a in role.actions)
+    )
+    if not well_formed:
+        raise ParseError(f"arena sidecar: malformed role {data!r}")
+    return role
+
+
 @dataclass
 class CompiledArena:
-    """A compiled game arena plus the bookkeeping the harness needs."""
+    """A compiled game arena plus the bookkeeping the harness needs:
+    ``roles`` maps decision locations to their ``Role`` (a free delay in a
+    shared callee entry is declared at the call port that enters it), and
+    ``slots`` maps each instruction's gadget boxes and claim nodes to
+    (instruction index, verification slot)."""
 
     model: RhaModel
     partition: Dict[Location, Player]
@@ -95,8 +191,8 @@ class CompiledArena:
     target: str
     time_bound: Rational = Fraction(4)
     instruction_anchor: Dict[int, Location] = field(default_factory=dict)
-    gadget_slots: Dict[int, Dict[str, str]] = field(default_factory=dict)
-    gadget_params: Dict[str, Tuple[str, str, int]] = field(default_factory=dict)
+    roles: Dict[Location, Role] = field(default_factory=dict)
+    slots: Dict[str, Tuple[int, str]] = field(default_factory=dict)
 
     def anchor_locations(self) -> FrozenSet[Location]:
         return frozenset(self.instruction_anchor.values())
@@ -130,11 +226,13 @@ class _Builder:
         entry: bool = False,
         exit_: bool = False,
         urgent: bool = False,
-        inv: RectConstraint = None,
         ticks: Optional[Set[str]] = None,
-        owner: Player = Player.ACHILLES,
         final: bool = False,
     ) -> str:
+        """Add a node.  ``ticks`` names the variables that run there (the
+        rest are stopped); an urgent node (z = 0) lets only z run.  Flows
+        are written only for stopwatch targets: in a timed target every
+        variable is a clock."""
         full = self._full(short)
         self._nodes.append(full)
         if entry:
@@ -143,17 +241,10 @@ class _Builder:
             self._exits.append(full)
         if urgent:
             self.comp.invariants[node(full)] = URGENT
-            if self.factory.target == RSA4:
-                ticks = {"z"}
-        elif inv is not None:
-            self.comp.invariants[node(full)] = inv
-        if ticks is not None:
-            if self.factory.target == RTA3:
-                raise CompileError("rta3 components cannot stop clocks")
-            self.comp.flows[node(full)] = {
-                v: Fraction(1 if v in ticks else 0) for v in self.factory.variables
-            }
-        self.factory.partition[node(full)] = owner
+            ticks = {"z"}
+        target = self.factory.target
+        if ticks is not None and target.stopwatches:
+            self.comp.flows[node(full)] = {v: Fraction(1 if v in ticks else 0) for v in target.variables}
         if final:
             self.factory.finals.add(node(full))
         return full
@@ -182,8 +273,9 @@ class _Builder:
             self.comp.resets[(src, action)] = frozenset(resets)
         return action
 
-    def port_owner(self, loc: Location, owner: Player) -> None:
-        self.factory.partition[loc] = owner
+    def declare(self, loc: Location, role: Role) -> None:
+        """Record the role of a decision location (it decides the owner)."""
+        self.factory.roles[loc] = role
 
     def port_urgent(self, loc: Location) -> None:
         self.comp.invariants[loc] = URGENT
@@ -201,33 +293,27 @@ class _Builder:
         self.comp.nodes = tuple(self._nodes)
         self.comp.entries = tuple(self._entries)
         self.comp.exits = tuple(self._exits)
-        for loc in [node(n) for n in self._nodes]:
-            self.factory.partition.setdefault(loc, Player.ACHILLES)
-        for b in self.comp.boxes:
-            callee = self.factory.components[self.comp.boxes[b]]
-            for en in callee.entries:
-                self.factory.partition.setdefault(call(b, en), Player.ACHILLES)
-            for ex in callee.exits:
-                self.factory.partition.setdefault(ret(b, ex), Player.ACHILLES)
         self.factory.components[self.name] = self.comp
         return self.name
 
 
 class GadgetFactory:
-    """Builds (and memoizes) the gadget components for one target."""
+    """Builds (and memoizes) the gadget components for one target, and
+    declares the roles and instruction slots of what it builds."""
 
     def __init__(self, target: str):
         if target not in TARGETS:
             raise CompileError(f"unknown target {target!r}")
-        self.target = target
-        self.variables: Tuple[str, ...] = ("x", "y", "z") if target == RTA3 else ("x", "y", "z", "u")
+        self.target: Target = TARGETS[target]
         self.components: Dict[str, RhaComponent] = {}
-        self.partition: Dict[Location, Player] = {}
         self.finals: Set[Location] = set()
-        self.gadget_params: Dict[str, Tuple[str, str, int]] = {}
+        self.roles: Dict[Location, Role] = {}
+        self.slots: Dict[str, Tuple[int, str]] = {}
 
-    def all_by_value(self) -> FrozenSet[str]:
-        return frozenset(self.variables)
+    def _gadget_pass(self, a: str) -> FrozenSet[str]:
+        """Pass set of a box calling a scaler on ``a``: protects the other
+        operand."""
+        return self.target.protect(_other(a))
 
     def _have(self, name: str) -> bool:
         return name in self.components
@@ -245,10 +331,38 @@ class GadgetFactory:
             b.done()
         return name
 
-    def wrap(self, measured: str) -> str:
-        """rta3 wrap: wait until ``measured`` reaches 1, then leave.  The
-        caller passes ``measured`` and z by value, so each invocation adds
-        (1 - measured) to the other clock and restores the rest."""
+    def _meet(self, name: str, v: str, w: str) -> str:
+        """Simultaneity test: ``v`` and ``w`` reach 1 together iff they are
+        equal."""
+        if not self._have(name):
+            b = _Builder(self, name)
+            en = b.node("en", entry=True, ticks={v, w})
+            ex = b.node("ex", exit_=True, ticks={"z"})
+            b.edge(node(en), "meet", node(ex), guard=conj((v, "=", 1), (w, "=", 1)))
+            b.done()
+        return name
+
+    # -- target arms ----------------------------------------------------------
+
+    def _measure_in_delay_cell(self, b: _Builder, i: int, ticking: str):
+        """rta3 measurement: the delay passes in the shared delay cell,
+        entered with every clock but ``ticking`` passed by value; Tortoise
+        decides at its return port."""
+        box = b.box(f"d{i}", self.delay_cell(), frozenset(self.target.variables) - {ticking})
+        b.port_urgent(b.rp(box))
+        return b.cp(box), b.rp(box), None
+
+    def _measure_at_node(self, b: _Builder, i: int, ticking: str):
+        """rsa4 measurement: the delay passes at a node where only
+        ``ticking`` runs; Tortoise decides at the urgent node after it."""
+        at = b.node(f"l{2 * i - 1}", ticks={ticking})
+        decision = b.node(f"l{2 * i}", urgent=True)
+        return node(at), node(decision), "measure" if i == 1 else "measure2"
+
+    def _clock_wrap(self, kind: str, a: str, measured: str):
+        """rta3 check wrap: wait until ``measured`` reaches 1, then leave.
+        The caller passes ``measured`` and z by value, so each invocation
+        adds (1 - measured) to the other clock and restores the rest."""
         name = f"Wrap_{measured}"
         if not self._have(name):
             b = _Builder(self, name)
@@ -256,16 +370,15 @@ class GadgetFactory:
             ex = b.node("ex", exit_=True)
             b.edge(node(en), "hit", node(ex), guard=conj((measured, "=", 1)))
             b.done()
-        return name
+        return name, frozenset()
 
-    def wrap_sw(self, kind: str, a: str) -> str:
-        """rsa4 wrap for checks: runs until the measured variable m reaches
-        1, adding (1 - m) to its partner, then restores m and clears the
-        scratch, in exactly one time unit.  Division checks measure u (which
-        holds t) into ``a``; multiplication checks measure ``a`` into u.
-        Entered with scratch b = 0."""
+    def _stopwatch_wrap(self, kind: str, a: str, measured: str):
+        """rsa4 check wrap: runs until ``measured`` reaches 1, adding
+        (1 - measured) to its partner, then restores it and clears the
+        scratch, in exactly one time unit.  Division checks measure u
+        (which holds t) into ``a``; multiplication checks measure ``a``
+        into u.  The check enters it with scratch b = 0."""
         b_var = _other(a)
-        measured = "u" if kind == "div" else a
         name = f"Wrap{'D' if kind == 'div' else 'M'}_{a}"
         if not self._have(name):
             b = _Builder(self, name)
@@ -275,41 +388,7 @@ class GadgetFactory:
             b.edge(node(en), "hit", node(mid), guard=conj((measured, "=", 1)), resets={measured})
             b.edge(node(mid), "back", node(ex), guard=conj((b_var, "=", 1)), resets={b_var})
             b.done()
-        return name
-
-    def sync(self, a: str = None) -> str:
-        """Simultaneity check: two variables reach 1 together iff they are
-        equal.  rta3 compares x with y; rsa4 compares ``a`` with u."""
-        if self.target == RTA3:
-            name = "Sync"
-            vars_ = ("x", "y")
-        else:
-            name = f"Sync_{a}"
-            vars_ = (a, "u")
-        if not self._have(name):
-            b = _Builder(self, name)
-            ticks = set(vars_) if self.target == RSA4 else None
-            en = b.node("en", entry=True, ticks=ticks)
-            ex = b.node("ex", exit_=True, ticks={"z"} if self.target == RSA4 else None)
-            b.edge(
-                node(en), "meet", node(ex),
-                guard=conj((vars_[0], "=", 1), (vars_[1], "=", 1)),
-            )
-            b.done()
-        return name
-
-    def equality(self) -> str:
-        """x = y test used by the certificates (same shape as sync)."""
-        if self.target == RTA3:
-            return self.sync()
-        name = "Eq"
-        if not self._have(name):
-            b = _Builder(self, name)
-            en = b.node("en", entry=True, ticks={"x", "y"})
-            ex = b.node("ex", exit_=True, ticks={"z"})
-            b.edge(node(en), "meet", node(ex), guard=conj(("x", "=", 1), ("y", "=", 1)))
-            b.done()
-        return name
+        return name, frozenset({b_var})
 
     # -- check components ---------------------------------------------------
 
@@ -320,19 +399,12 @@ class GadgetFactory:
         its entry value), so the exit guard a = n holds iff n*t equals the
         entry value.  A multiplication check verifies t = n*a: the wraps add
         n*(1-a) to the holder of t, whose exit guard demands exactly n."""
-        b_var = _other(a)
         name = f"Chk{'D' if kind == 'div' else 'M'}_{a}_{n}"
         if not self._have(name):
-            holder = b_var if self.target == RTA3 else "u"  # holds t after the scaler's first delay
+            holder = self.target.holder(a)
             measured, sealed = (holder, a) if kind == "div" else (a, holder)
-            if self.target == RTA3:
-                wrap_name = self.wrap(measured)
-                passes = frozenset({measured, "z"})
-                start_resets: FrozenSet[str] = frozenset()
-            else:
-                wrap_name = self.wrap_sw(kind, a)
-                passes = frozenset()
-                start_resets = frozenset({b_var})
+            wrap_name, start_resets = self.target.check_wrap(self, kind, a, measured)
+            passes = self.target.protect(measured)
             b = _Builder(self, name)
             en = b.node("en", entry=True, urgent=True)
             ex = b.node("ex", exit_=True, urgent=True)
@@ -351,83 +423,54 @@ class GadgetFactory:
     def div(self, a: str, n: int) -> str:
         """Divider: enter with a = z0 (z = 0); the faithful play leaves at
         the exit with a = z0/n after exactly 2*z0/n time."""
-        if n not in SUPPORTED_DIVISORS:
-            raise CompileError(f"unsupported divisor {n}; expected one of {SUPPORTED_DIVISORS}")
-        name = f"Div_{a}_{n}"
-        if not self._have(name):
-            self._scaler(name, "div", a, n)
-        return name
+        return self._scaler("div", a, n, "divisor", SUPPORTED_DIVISORS)
 
     def mul(self, a: str, m: int) -> str:
         """Multiplier: enter with a = z0 <= 1/m; leaves with a = m*z0
         after exactly 2*m*z0 time.  Same trust structure as the divider."""
-        if m not in SUPPORTED_FACTORS:
-            raise CompileError(f"unsupported factor {m}; expected one of {SUPPORTED_FACTORS}")
-        name = f"Mul_{a}_{m}"
-        if not self._have(name):
-            self._scaler(name, "mul", a, m)
-        return name
+        return self._scaler("mul", a, m, "factor", SUPPORTED_FACTORS)
 
-    def _scaler(self, name: str, kind: str, a: str, n: int) -> None:
-        """Common two-delay skeleton of dividers and multipliers."""
+    def _scaler(self, kind: str, a: str, n: int, what: str, supported: Tuple[int, ...]) -> str:
+        """Common two-delay skeleton of dividers and multipliers: Achilles
+        lets the first delay run into the holder, Tortoise audits it (check
+        component) or continues; the catch-up delay then runs into ``a``,
+        and Tortoise audits it (sync component) or lets the gadget exit."""
+        if n not in supported:
+            raise CompileError(f"unsupported {what} {n}; expected one of {supported}")
+        name = f"{kind.capitalize()}_{a}_{n}"
+        if self._have(name):
+            return name
         check_name = self.check(kind, a, n)
-        b_var = _other(a)
-        self.gadget_params[name] = (kind, a, n)
+        holder = self.target.holder(a)
+        gadget = (kind, a, n)
         b = _Builder(self, name)
-        if self.target == RTA3:
-            delay = self.delay_cell()
-            en = b.node("en", entry=True, urgent=True)
-            sm = b.node("pass", final=True)
-            ex = b.node("ex", exit_=True, urgent=True)
-            d1 = b.box("d1", delay, frozenset({a, "z"}))
-            k1 = b.box("k1", check_name, frozenset({"z"}))
-            d2 = b.box("d2", delay, frozenset({b_var, "z"}))
-            k2 = b.box("k2", self.sync(), frozenset({"z"}))
-            b.edge(node(en), "arm", b.cp(d1), resets={b_var})
-            first = b.rp(d1)
-            b.port_owner(first, Player.TORTOISE)
-            b.port_urgent(first)
-            b.edge(first, "keep", b.cp(d2), resets={a})
-            b.edge(first, "audit", b.cp(k1))
-            second = b.rp(d2)
-            b.port_owner(second, Player.TORTOISE)
-            b.port_urgent(second)
-            b.edge(second, "keep2", node(ex))
-            b.edge(second, "audit2", b.cp(k2))
-            b.port_urgent(b.rp(k1))
-            b.port_urgent(b.rp(k2))
-            b.edge(b.rp(k1), "ok", node(sm))
-            b.edge(b.rp(k2), "ok2", node(sm))
-        else:
-            en = b.node("en", entry=True, urgent=True)
-            l1 = b.node("l1", ticks={"u"})
-            l2 = b.node("l2", urgent=True, owner=Player.TORTOISE)
-            l3 = b.node("l3", ticks={a})
-            l4 = b.node("l4", urgent=True, owner=Player.TORTOISE)
-            sm = b.node("pass", ticks=set(), final=True)
-            ex = b.node("ex", exit_=True, urgent=True)
-            k1 = b.box("k1", check_name)
-            k2 = b.box("k2", self.sync(a))
-            b.edge(node(en), "arm", node(l1), resets={"u"})
-            b.edge(node(l1), "measure", node(l2))
-            b.edge(node(l2), "keep", node(l3), resets={a})
-            b.edge(node(l2), "audit", b.cp(k1))
-            b.edge(node(l3), "measure2", node(l4))
-            b.edge(node(l4), "keep2", node(ex))
-            b.edge(node(l4), "audit2", b.cp(k2))
-            b.port_urgent(b.rp(k1))
-            b.port_urgent(b.rp(k2))
-            b.edge(b.rp(k1), "ok", node(sm))
-            b.edge(b.rp(k2), "ok2", node(sm))
-        b.done()
+        en = b.node("en", entry=True, urgent=True)
+        enter1, first, link1 = self.target.measure(self, b, 1, holder)
+        k1 = b.box("k1", check_name, self.target.protect())
+        enter2, second, link2 = self.target.measure(self, b, 2, a)
+        k2 = b.box("k2", self._meet(*self.target.sync(a)), self.target.protect())
+        sm = b.node("pass", final=True, ticks=set())
+        ex = b.node("ex", exit_=True, urgent=True)
+        b.edge(node(en), "arm", enter1, resets={holder})
+        if link1:
+            b.edge(enter1, link1, first)
+        keep = b.edge(first, "keep", enter2, resets={a})
+        audit = b.edge(first, "audit", b.cp(k1))
+        if link2:
+            b.edge(enter2, link2, second)
+        keep2 = b.edge(second, "keep2", node(ex))
+        audit2 = b.edge(second, "audit2", b.cp(k2))
+        b.port_urgent(b.rp(k1))
+        b.port_urgent(b.rp(k2))
+        b.edge(b.rp(k1), "ok", node(sm))
+        b.edge(b.rp(k2), "ok2", node(sm))
+        b.declare(enter1, Role(FIRST, gadget, holder))
+        b.declare(enter2, Role(SECOND, gadget, holder))
+        b.declare(first, Role(CHECK1, gadget, holder, (audit, keep)))
+        b.declare(second, Role(CHECK2, gadget, holder, (audit2, keep2)))
+        return b.done()
 
     # -- branch certificates -----------------------------------------------
-
-    def _gadget_pass(self, a: str) -> FrozenSet[str]:
-        """Pass set protecting the non-operand variable inside certificates."""
-        if self.target == RSA4:
-            return frozenset()
-        return frozenset({_other(a), "z"})
 
     def cert(self, counter: str, claim: str) -> str:
         """Certificate component asserting that a counter is zero or
@@ -452,32 +495,34 @@ class GadgetFactory:
         en = b.node("en", entry=True, urgent=True)
         ex = b.node("ex", exit_=True, urgent=True)
         if counter == "c1":
-            eq_passes = frozenset({"z"}) if self.target == RTA3 else frozenset()
-            eq = b.box("e", self.equality(), eq_passes)
+            eq = b.box("e", self._meet(*self.target.equality), self.target.protect())
             g3 = b.box("g3", self.div("y", 3), self._gadget_pass("y"))
             if claim == "zero":
                 loop = b.node("loop", urgent=True)
                 b.edge(node(en), "begin", node(loop))
-                b.edge(node(loop), "div", b.cp(g3))
+                div = b.edge(node(loop), "div", b.cp(g3))
                 b.port_urgent(b.rp(g3))
                 b.edge(b.rp(g3), "again", node(loop))
-                b.edge(node(loop), "fin", b.cp(eq))
+                fin = b.edge(node(loop), "fin", b.cp(eq))
+                b.declare(node(loop), Role(CERT, actions=(fin, div), rule=("x=y",)))
             else:
                 l1 = b.node("l1", urgent=True)
                 l2 = b.node("l2", urgent=True)
                 s = b.box("s", self.div("y", 2), self._gadget_pass("y"))
                 g2 = b.box("g2", self.div("y", 2), self._gadget_pass("y"))
                 b.edge(node(en), "begin", node(l1))
-                b.edge(node(l1), "div3", b.cp(g3))
+                div3 = b.edge(node(l1), "div3", b.cp(g3))
                 b.port_urgent(b.rp(g3))
                 b.edge(b.rp(g3), "again3", node(l1))
-                b.edge(node(l1), "step", b.cp(s))
+                step = b.edge(node(l1), "step", b.cp(s))
                 b.port_urgent(b.rp(s))
                 b.edge(b.rp(s), "toloop", node(l2))
-                b.edge(node(l2), "div2", b.cp(g2))
+                div2 = b.edge(node(l2), "div2", b.cp(g2))
                 b.port_urgent(b.rp(g2))
                 b.edge(b.rp(g2), "again2", node(l2))
-                b.edge(node(l2), "fin", b.cp(eq))
+                fin = b.edge(node(l2), "fin", b.cp(eq))
+                b.declare(node(l1), Role(CERT, actions=(div3, step), rule=("3|y/x",)))
+                b.declare(node(l2), Role(CERT, actions=(fin, div2), rule=("x=y",)))
             b.port_urgent(b.rp(eq))
             b.edge(b.rp(eq), "done", node(ex))
         else:
@@ -487,66 +532,58 @@ class GadgetFactory:
             ls = b.node("ls", urgent=True)
             lb = b.node("lb", urgent=True)
             b.edge(node(en), "begin", node(ls))
-            b.edge(node(ls), "round", b.cp(m3))
+            rounds = b.edge(node(ls), "round", b.cp(m3))
             b.port_urgent(b.rp(m3))
             b.edge(b.rp(m3), "mid", b.cp(m2))
             b.port_urgent(b.rp(m2))
             b.edge(b.rp(m2), "again", node(ls))
             if claim == "zero":
-                b.edge(node(ls), "lock", node(lb), guard=conj(("y", "=", 1)))
+                lock = b.edge(node(ls), "lock", node(lb), guard=conj(("y", "=", 1)))
+                tests, chances = ("x=1",), ()
             else:
                 fb = b.node("fb", urgent=True)
                 bump = b.box("bump", self.mul("x", 3), self._gadget_pass("x"))
                 t3 = b.box("t3", self.mul("x", 3), self._gadget_pass("x"))
-                b.edge(node(ls), "lock", node(fb), guard=conj(("y", "=", 1)))
+                lock = b.edge(node(ls), "lock", node(fb), guard=conj(("y", "=", 1)))
                 b.edge(node(fb), "bump", b.cp(bump))
                 b.port_urgent(b.rp(bump))
                 b.edge(b.rp(bump), "tolb", node(lb))
-                b.edge(node(lb), "tri", b.cp(t3))
+                tri = b.edge(node(lb), "tri", b.cp(t3))
                 b.port_urgent(b.rp(t3))
                 b.edge(b.rp(t3), "again3", node(lb))
-            b.edge(node(lb), "dbl", b.cp(d2))
+                tests, chances = ("x=1", "3|1/x"), (tri,)
+            dbl = b.edge(node(lb), "dbl", b.cp(d2))
             b.port_urgent(b.rp(d2))
             b.edge(b.rp(d2), "again2", node(lb))
-            b.edge(node(lb), "fin", node(ex), guard=conj(("x", "=", 1)))
+            fin = b.edge(node(lb), "fin", node(ex), guard=conj(("x", "=", 1)))
+            b.declare(node(ls), Role(CERT, actions=(lock, rounds), rule=("y=1",)))
+            b.declare(node(lb), Role(CERT, actions=(fin,) + chances + (dbl,), rule=tests))
         b.done()
         return name
 
     # -- instruction components ----------------------------------------------
 
-    def _divider_chain(self, kind: str, counter: str) -> List[Tuple[str, int]]:
-        if kind == "inc" and counter == "c1":
-            return [("y", 2), ("x", 12)]
-        if kind == "inc" and counter == "c2":
-            return [("y", 2), ("x", 6), ("x", 3)]
-        if kind == "dec" and counter == "c1":
-            return [("y", 2), ("x", 3)]
-        if kind == "dec" and counter == "c2":
-            return [("y", 2), ("x", 2)]
-        if kind == "zerocheck":
-            return [("y", 2), ("x", 6)]
-        raise CompileError(f"unknown instruction kind {kind}/{counter}")
-
-    def instruction(self, name: str, kind: str, counter: Optional[str]):
-        """Build an instruction component.  Returns (component name,
-        exit-label map, gadget slot map).  Exit labels: "next" for
-        inc/dec, "pos"/"zero" for zero-checks, "halt" for halt."""
-        slots: Dict[str, str] = {}
+    def instruction(self, name: str, kind: str, counter: Optional[str], index: int = 0):
+        """Build an instruction component whose gadget boxes and claim
+        nodes take the slots of machine instruction ``index``.  Returns
+        (component name, exit-label map).  Exit labels: "next" for inc/dec,
+        "pos"/"zero" for zero-checks, "halt" for halt."""
         b = _Builder(self, name)
         en = b.node("en", entry=True, urgent=True)
         if kind == "halt":
             halt = b.node("halt", exit_=True, urgent=True)
             b.edge(node(en), "stop", node(halt))
             b.done()
-            return name, {"halt": halt}, slots
+            return name, {"halt": halt}
 
-        chain = self._divider_chain(kind, counter)
+        chain = _DIVIDER_CHAINS.get((kind, counter))
+        if chain is None:
+            raise CompileError(f"unknown instruction kind {kind}/{counter}")
         boxes = []
         for i, (a, n) in enumerate(chain, start=1):
-            passes = frozenset() if self.target == RSA4 else frozenset({_other(a), "z"})
-            g = b.box(f"g{i}", self.div(a, n), passes)
+            g = b.box(f"g{i}", self.div(a, n), self._gadget_pass(a))
             boxes.append(g)
-            slots[g] = f"div{i}"
+            self.slots[g] = (index, f"div{i}")
         b.edge(node(en), "go", b.cp(boxes[0]))
         for i in range(len(boxes) - 1):
             b.port_urgent(b.rp(boxes[i]))
@@ -558,32 +595,90 @@ class GadgetFactory:
             ex = b.node("ex", exit_=True, urgent=True)
             b.edge(last, "out", node(ex))
             b.done()
-            return name, {"next": ex}, slots
+            return name, {"next": ex}
 
         # zero-check: Achilles asserts the branch, Tortoise may challenge.
         br = b.node("br", urgent=True)
-        vp = b.node("vp", urgent=True, owner=Player.TORTOISE)
-        vz = b.node("vz", urgent=True, owner=Player.TORTOISE)
-        slots[vp] = "branch"
-        slots[vz] = "branch"
-        sm = b.node("pass", final=True, ticks=set() if self.target == RSA4 else None)
+        vp = b.node("vp", urgent=True)
+        vz = b.node("vz", urgent=True)
+        sm = b.node("pass", final=True, ticks=set())
         expos = b.node("expos", exit_=True, urgent=True)
         exzero = b.node("exzero", exit_=True, urgent=True)
-        cert_pos = b.box("cp", self.cert(counter, "positive"), self.all_by_value())
-        cert_zero = b.box("cz", self.cert(counter, "zero"), self.all_by_value())
+        everything = frozenset(self.target.variables)
+        cert_pos = b.box("cp", self.cert(counter, "positive"), everything)
+        cert_zero = b.box("cz", self.cert(counter, "zero"), everything)
         b.edge(last, "toassert", node(br))
-        b.edge(node(br), "apos", node(vp))
-        b.edge(node(br), "azero", node(vz))
-        b.edge(node(vp), "accept", node(expos))
-        b.edge(node(vp), "challenge", b.cp(cert_pos))
+        apos = b.edge(node(br), "apos", node(vp))
+        azero = b.edge(node(br), "azero", node(vz))
+        accept = b.edge(node(vp), "accept", node(expos))
+        challenge = b.edge(node(vp), "challenge", b.cp(cert_pos))
         b.edge(node(vz), "accept", node(exzero))
         b.edge(node(vz), "challenge", b.cp(cert_zero))
         b.port_urgent(b.rp(cert_pos))
         b.port_urgent(b.rp(cert_zero))
         b.edge(b.rp(cert_pos), "okp", node(sm))
         b.edge(b.rp(cert_zero), "okz", node(sm))
+        b.declare(node(br), Role(BRANCH, actions=(apos, azero)))
+        b.declare(node(vp), Role(POSITIVE, actions=(challenge, accept), counter=counter))
+        b.declare(node(vz), Role(ZERO, actions=(challenge, accept), counter=counter))
+        self.slots[vp] = self.slots[vz] = (index, "branch")
         b.done()
-        return name, {"pos": expos, "zero": exzero}, slots
+        return name, {"pos": expos, "zero": exzero}
+
+
+# ---------------------------------------------------------------------------
+# Targets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Target:
+    """Everything in which the two targets differ."""
+
+    name: str
+    variables: Tuple[str, ...]
+    kind: str  # what ``classify`` reports for every arena of the target
+    # Flows stop variables, and calls are glitch-free; otherwise every
+    # variable is a clock and boxes protect variables by value.
+    stopwatches: bool
+    holder: Callable[[str], str]  # holds a scaler's first delay, by operand
+    sync: Callable[[str], Tuple[str, str, str]]  # catch-up test (component, v, w), by operand
+    equality: Tuple[str, str, str]  # x = y test of the certificates
+    # Arms of the scaler and check skeletons (``GadgetFactory`` methods):
+    # one free-delay measurement -> (delay location, decision, link action);
+    # the wrap of a check -> (wrap component, resets when the check starts).
+    measure: Callable
+    check_wrap: Callable
+
+    def protect(self, *variables: str) -> FrozenSet[str]:
+        """Pass set of a box that must leave ``variables`` (and z) as
+        they were: empty when calls are glitch-free."""
+        return frozenset() if self.stopwatches else frozenset(variables) | {"z"}
+
+
+RTA3 = Target(
+    name="rta3",
+    variables=("x", "y", "z"),
+    kind="timed",
+    stopwatches=False,
+    holder=_other,
+    sync=lambda a: ("Sync", "x", "y"),
+    equality=("Sync", "x", "y"),
+    measure=GadgetFactory._measure_in_delay_cell,
+    check_wrap=GadgetFactory._clock_wrap,
+)
+RSA4 = Target(
+    name="rsa4",
+    variables=("x", "y", "z", "u"),
+    kind="stopwatch",
+    stopwatches=True,
+    holder=lambda a: "u",
+    sync=lambda a: (f"Sync_{a}", a, "u"),
+    equality=("Eq", "x", "y"),
+    measure=GadgetFactory._measure_at_node,
+    check_wrap=GadgetFactory._stopwatch_wrap,
+)
+TARGETS = {t.name: t for t in (RTA3, RSA4)}
 
 
 # ---------------------------------------------------------------------------
@@ -607,69 +702,62 @@ def compile(machine: TwoCounterMachine, target: str) -> CompiledArena:
     """Translate a two-counter machine into a compiled game arena."""
     factory = GadgetFactory(target)
     exit_maps: Dict[int, Dict[str, str]] = {}
-    slot_maps: Dict[int, Dict[str, str]] = {}
     for k, ins in enumerate(machine.instructions):
-        kind, counter = _instruction_kind(ins)
-        _, exits, slots = factory.instruction(f"I{k}", kind, counter)
-        exit_maps[k] = exits
-        slot_maps[k] = slots
+        _, exit_maps[k] = factory.instruction(f"I{k}", *_instruction_kind(ins), index=k)
 
     main = _Builder(factory, "Main")
     en = main.node("en", entry=True, urgent=True)
     halt_node = main.node("HALT", exit_=True, urgent=True, final=True)
     boxes = {k: main.box(f"i{k}", f"I{k}") for k in range(len(machine.instructions))}
     main.edge(node(en), "boot", main.cp(boxes[0]))
+    successor = {"next": "next", "pos": "next_if_positive", "zero": "next_if_zero"}
     for k, ins in enumerate(machine.instructions):
-        exits = exit_maps[k]
-        for label, exit_name in exits.items():
+        for label, exit_name in exit_maps[k].items():
             port = ret(boxes[k], exit_name)
             main.port_urgent(port)
             if label == "halt":
                 main.edge(port, f"finish{k}", node(halt_node))
-                continue
-            if label == "next":
-                target_idx = ins.next
-            elif label == "pos":
-                target_idx = ins.next_if_positive
             else:
-                target_idx = ins.next_if_zero
-            main.edge(port, f"goto{k}_{label}", main.cp(boxes[target_idx]))
+                main.edge(port, f"goto{k}_{label}", main.cp(boxes[getattr(ins, successor[label])]))
     main.done()
     return _finish(
         factory, "Main", expected_valuation(0, 0, 0),
         instruction_anchor={k: node(f"I{k}.en") for k in range(len(machine.instructions))},
-        gadget_slots=slot_maps,
     )
 
 
 def _finish(factory: GadgetFactory, host: str, entry_values: Dict[str, Rational], **bookkeeping) -> CompiledArena:
     """Close a build whose outermost component is ``host``: put it first,
-    check the model against its target class, and start it at
+    check the model against its target class, give Tortoise the locations
+    of its decision roles and Achilles all others, and start it at
     ``entry_values`` (other variables 0)."""
+    target = factory.target
     ordered = [factory.components[host]] + [
         comp for name, comp in factory.components.items() if name != host
     ]
-    model = RhaModel(factory.variables, ordered)
+    model = RhaModel(target.variables, ordered)
     problems = validate_rha(model)
     if problems:
         raise CompileError(f"{host} arena fails validation: " + "; ".join(problems))
     kind, _tags = classify(model)
-    if factory.target == RTA3 and kind != "timed":
-        raise CompileError(f"rta3 arena classified as {kind}")
-    if factory.target == RSA4 and (kind != "stopwatch" or not is_glitch_free(model)):
-        raise CompileError("rsa4 arena must be a glitch-free stopwatch automaton")
+    if kind != target.kind or (target.stopwatches and not is_glitch_free(model)):
+        glitch_free = "glitch-free " if target.stopwatches else ""
+        raise CompileError(f"{target.name} arena must be a {glitch_free}{target.kind} automaton, not {kind}")
 
-    initial = {v: Fraction(0) for v in factory.variables}
+    tortoise = {loc for loc, role in factory.roles.items() if role.kind in TORTOISE_ROLES}
+    partition = {loc: Player.TORTOISE if loc in tortoise else Player.ACHILLES for loc in model.all_locations()}
+    initial = {v: Fraction(0) for v in target.variables}
     for k, v in entry_values.items():
         initial[k] = rat(v)
     return CompiledArena(
         model=model,
-        partition=dict(factory.partition),
+        partition=partition,
         finals=frozenset(factory.finals),
         entry=node(f"{host}.en"),
         initial_valuation=initial,
-        target=factory.target,
-        gadget_params=dict(factory.gadget_params),
+        target=target.name,
+        roles=dict(factory.roles),
+        slots=dict(factory.slots),
         **bookkeeping,
     )
 
@@ -681,25 +769,18 @@ def _finish(factory: GadgetFactory, host: str, entry_values: Dict[str, Rational]
 
 @dataclass
 class GadgetBundle:
-    """A gadget component together with everything it depends on."""
+    """A gadget component and the factory that built it with everything
+    it depends on; ``operand`` is set when the gadget is a scaler."""
 
     name: str
-    components: Dict[str, RhaComponent]
-    variables: Tuple[str, ...]
-    partition: Dict[Location, Player]
-    finals: Set[Location]
-    gadget_params: Dict[str, Tuple[str, str, int]]
-    slots: Dict[str, str] = field(default_factory=dict)
+    factory: GadgetFactory
+    operand: Optional[str] = None
 
 
 def build_div(variable: str, n: int, target: str) -> GadgetBundle:
     """Build a divider component (with its dependencies) in isolation."""
     factory = GadgetFactory(target)
-    name = factory.div(variable, n)
-    return GadgetBundle(
-        name, dict(factory.components), factory.variables,
-        dict(factory.partition), set(factory.finals), dict(factory.gadget_params),
-    )
+    return GadgetBundle(factory.div(variable, n), factory, variable)
 
 
 def build_instruction(kind: str, counter: Optional[str], target: str) -> GadgetBundle:
@@ -707,41 +788,35 @@ def build_instruction(kind: str, counter: Optional[str], target: str) -> GadgetB
     factory = GadgetFactory(target)
     kind_l = kind.lower()
     name = f"{kind_l.capitalize()}_{counter}" if counter else kind_l.capitalize()
-    _, _exits, slots = factory.instruction(name, kind_l, counter)
-    return GadgetBundle(
-        name, dict(factory.components), factory.variables,
-        dict(factory.partition), set(factory.finals), dict(factory.gadget_params),
-        slots=slots,
-    )
+    factory.instruction(name, kind_l, counter)
+    return GadgetBundle(name, factory)
 
 
 def host_arena(bundle: GadgetBundle, entry_values: Dict[str, Rational], target: str) -> CompiledArena:
     """Wrap a gadget bundle in a one-box host component so it can be
-    driven by the playout harness.  The host's ``done`` node is final."""
+    driven by the playout harness.  The host's ``done`` node is final;
+    a scaler's box takes slot div1 of instruction 0."""
     factory = GadgetFactory(target)
-    factory.components.update(bundle.components)
-    factory.partition.update(bundle.partition)
-    factory.finals.update(bundle.finals)
-    factory.gadget_params.update(bundle.gadget_params)
+    factory.components.update(bundle.factory.components)
+    factory.finals.update(bundle.factory.finals)
+    factory.roles.update(bundle.factory.roles)
+    factory.slots.update(bundle.factory.slots)
     gadget = factory.components[bundle.name]
 
     b = _Builder(factory, "Host")
     en = b.node("en", entry=True, urgent=True)
-    done = b.node("done", final=True, ticks=set() if target == RSA4 else None)
-    operand = bundle.gadget_params.get(bundle.name, (None, "x", 0))[1]
-    if target == RTA3 and bundle.name in bundle.gadget_params:
-        passes = frozenset({_other(operand), "z"})
-    else:
-        passes = frozenset()
-    g = b.box("g", bundle.name, passes)
+    done = b.node("done", final=True, ticks=set())
+    scaler = bundle.operand is not None
+    g = b.box("g", bundle.name, factory._gadget_pass(bundle.operand) if scaler else frozenset())
     b.edge(node(en), "go", b.cp(g))
     for i, _ex in enumerate(gadget.exits):
         port = b.rp(g, i)
         b.port_urgent(port)
         b.edge(port, f"out{i}", node(done))
     b.done()
-    slots = {g: "div1"} if bundle.name in bundle.gadget_params else dict(bundle.slots)
-    return _finish(factory, "Host", entry_values, gadget_slots={0: slots})
+    if scaler:
+        factory.slots[g] = (0, "div1")
+    return _finish(factory, "Host", entry_values)
 
 
 # ---------------------------------------------------------------------------
@@ -762,9 +837,10 @@ def arena_to_json(arena: CompiledArena) -> Tuple[dict, dict]:
         "entry": str(arena.entry),
         "initialValuation": {k: fmt(v) for k, v in arena.initial_valuation.items()},
         "anchors": {str(k): str(loc) for k, loc in arena.instruction_anchor.items()},
-        "ownerLegend": {str(loc): p.value for loc, p in sorted(arena.partition.items(), key=lambda kv: str(kv[0]))},
-        "slots": {str(k): dict(v) for k, v in arena.gadget_slots.items()},
-        "gadgetParams": {name: list(params) for name, params in arena.gadget_params.items()},
+        "roles": {
+            "locations": {str(loc): _role_to_json(role) for loc, role in arena.roles.items()},
+            "slots": {name: list(slot) for name, slot in arena.slots.items()},
+        },
     }
     return model_json, sidecar
 
@@ -779,6 +855,7 @@ def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
     if problems:
         raise ParseError("arena model is not well formed: " + "; ".join(problems))
     try:
+        roles = sidecar["roles"]
         arena = CompiledArena(
             model=model,
             partition=partition,
@@ -788,13 +865,23 @@ def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
             target=sidecar["target"],
             time_bound=rat(sidecar["time_bound"]),
             instruction_anchor={int(k): parse_location(v) for k, v in sidecar.get("anchors", {}).items()},
-            gadget_slots={int(k): dict(v) for k, v in sidecar.get("slots", {}).items()},
-            gadget_params={k: tuple(v) for k, v in sidecar.get("gadgetParams", {}).items()},
+            roles={
+                parse_location(loc): _role_from_json(role, model.variables)
+                for loc, role in roles["locations"].items()
+            },
+            slots={name: (int(k), str(slot)) for name, (k, slot) in roles["slots"].items()},
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad arena sidecar: {exc!r}") from exc
-    if arena.entry not in model.all_locations():
+    locations = set(model.all_locations())
+    if arena.entry not in locations:
         raise ParseError(f"arena sidecar: entry {arena.entry} is not a location of the model")
     if set(arena.initial_valuation) != set(model.variables):
         raise ParseError("arena sidecar: initialValuation must value exactly the model's variables")
+    labels = {key for comp in model.components for key in comp.transitions}
+    for loc, role in arena.roles.items():
+        if loc not in locations:
+            raise ParseError(f"arena sidecar: role at {loc}, which is not a location of the model")
+        if any((loc, action) not in labels for action in role.actions):
+            raise ParseError(f"arena sidecar: role at {loc} names an action that does not leave it")
     return arena

@@ -16,10 +16,23 @@ the strategies (with delay 0).
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .arith import Rational, fmt
-from .compiler import CompiledArena
+from .compiler import (
+    BRANCH,
+    CERT,
+    CERT_TESTS,
+    CHECK1,
+    CHECK2,
+    FIRST,
+    POSITIVE,
+    SECOND,
+    TORTOISE_ROLES,
+    ZERO,
+    CompiledArena,
+    Role,
+)
 from .errors import HarnessError, MoveError, StrategyError
 from .games import Player
 from .rha import (
@@ -34,7 +47,7 @@ from .rha import (
     run_duration,
     timed_step,
 )
-from .rsm import Location
+from .rsm import Location, call
 from .tcm import TwoCounterMachine, ZeroCheck, tcm_run
 
 TimedStrategy = Callable[[TimedRun], TimedAction]
@@ -58,47 +71,31 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Arena inspection helpers (rely on the compiler's naming scheme)
+# Arena inspection: lookups in the compiler's role and slot tables
 # ---------------------------------------------------------------------------
 
 
-def _gadget_of_box(box_name: str) -> str:
-    return box_name.rsplit(".", 1)[0]
+def role_at(arena: CompiledArena, config: RhaConfiguration) -> Optional[Role]:
+    """The compiler-declared role of the configuration's location.  A node
+    shared by all callers (the rta3 delay cell's entry) takes its role from
+    the call port it was entered through.  Call ports themselves are forced
+    and play no role."""
+    loc = config.location
+    if loc.kind == "call":
+        return None
+    role = arena.roles.get(loc)
+    if role is None and loc.kind == "node" and config.context:
+        role = arena.roles.get(call(config.context[-1][0], loc.name))
+    return role
 
 
 def free_delay_role(arena: CompiledArena, config: RhaConfiguration):
     """If the configuration is a free-delay node of a scaler gadget,
     return (role, (kind, operand, n)) with role "first" or "second"."""
-    loc = config.location
-    if loc.kind != "node":
+    role = role_at(arena, config)
+    if role is None or role.kind not in (FIRST, SECOND):
         return None
-    if arena.target == "rta3":
-        if loc.name != "Delay.en" or not config.context:
-            return None
-        box = config.context[-1][0]
-        gadget = _gadget_of_box(box)
-        params = arena.gadget_params.get(gadget)
-        if params is None:
-            return None
-        role = "first" if box.endswith(".d1") else "second"
-        return role, params
-    if loc.name.endswith(".l1") or loc.name.endswith(".l3"):
-        gadget = loc.name.rsplit(".", 1)[0]
-        params = arena.gadget_params.get(gadget)
-        if params is None:
-            return None
-        role = "first" if loc.name.endswith(".l1") else "second"
-        return role, params
-    return None
-
-
-def _slot_index(arena: CompiledArena) -> Dict[str, Tuple[int, str]]:
-    """Map box / node names to (instruction index, slot prefix)."""
-    index: Dict[str, Tuple[int, str]] = {}
-    for instr, table in arena.gadget_slots.items():
-        for name, prefix in table.items():
-            index[name] = (instr, prefix)
-    return index
+    return role.kind, role.gadget
 
 
 def decision_slot(arena: CompiledArena, config: RhaConfiguration) -> Optional[Tuple[int, str]]:
@@ -106,28 +103,17 @@ def decision_slot(arena: CompiledArena, config: RhaConfiguration) -> Optional[Tu
     (instruction index, slot) with slot like "div1.check1" or "branch".
     Verification decisions inside certificate sub-gadgets are not
     addressable and yield None."""
-    index = _slot_index(arena)
-    loc = config.location
-    if loc.kind == "node" and index.get(loc.name, (0, ""))[1] == "branch":
-        return index[loc.name][0], "branch"
-    which = None
-    if arena.target == "rta3":
-        if loc.kind == "ret" and loc.box.endswith(".d1"):
-            which = "check1"
-        elif loc.kind == "ret" and loc.box.endswith(".d2"):
-            which = "check2"
-    else:
-        if loc.kind == "node" and loc.name.endswith(".l2"):
-            which = "check1"
-        elif loc.kind == "node" and loc.name.endswith(".l4"):
-            which = "check2"
-    if which is None or not config.context:
+    role = role_at(arena, config)
+    if role is None:
         return None
-    owner_box = config.context[-1][0]
-    entry = index.get(owner_box)
-    if entry is None or not entry[1].startswith("div"):
+    if role.kind in (POSITIVE, ZERO):
+        return arena.slots.get(config.location.name)
+    if role.kind not in (CHECK1, CHECK2) or not config.context:
         return None
-    return entry[0], f"{entry[1]}.{which}"
+    owner = arena.slots.get(config.context[-1][0])
+    if owner is None:
+        return None
+    return owner[0], f"{owner[1]}.{role.kind}"
 
 
 def anchors_hit(arena: CompiledArena, run: TimedRun) -> int:
@@ -143,14 +129,6 @@ def current_step(arena: CompiledArena, run: TimedRun) -> int:
 # ---------------------------------------------------------------------------
 # Achilles strategies
 # ---------------------------------------------------------------------------
-
-
-def _v3(n: int) -> int:
-    count = 0
-    while n % 3 == 0 and n > 0:
-        n //= 3
-        count += 1
-    return count
 
 
 def _forced_move(arena: CompiledArena, config: RhaConfiguration) -> TimedAction:
@@ -169,40 +147,6 @@ def _forced_move(arena: CompiledArena, config: RhaConfiguration) -> TimedAction:
     return TimedAction((ivl.lo + hi) / 2, action)
 
 
-def _cert_choice(location_name: str, v) -> Optional[str]:
-    """Decision rules inside certificate components, driven by the exact
-    copies being rescaled.  Returns the action short-name."""
-    comp, short = location_name.rsplit(".", 1)
-    x, y = v["x"], v["y"]
-    if comp.startswith("CertZ_c1"):
-        if short == "loop":
-            return "fin" if x == y else "div"
-    elif comp.startswith("CertP_c1"):
-        if short == "l1":
-            ratio = y / x
-            if ratio.denominator == 1 and ratio.numerator % 3 == 0:
-                return "div3"
-            return "step"
-        if short == "l2":
-            return "fin" if x == y else "div2"
-    elif comp.startswith("CertZ_c2"):
-        if short == "ls":
-            return "lock" if y == 1 else "round"
-        if short == "lb":
-            return "fin" if x == 1 else "dbl"
-    elif comp.startswith("CertP_c2"):
-        if short == "ls":
-            return "lock" if y == 1 else "round"
-        if short == "lb":
-            if x == 1:
-                return "fin"
-            inv = 1 / x
-            if inv.denominator == 1 and _v3(inv.numerator) > 0:
-                return "tri"
-            return "dbl"
-    return None
-
-
 def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena) -> TimedStrategy:
     """The simulating strategy: contract delays at every measurement,
     machine-run branch assertions at zero-checks, forced moves elsewhere.
@@ -218,39 +162,33 @@ def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena
 
     def strategy(run: TimedRun) -> TimedAction:
         config = run.last()
-        loc = config.location
         v = config.valuation
-
-        role = free_delay_role(arena, config)
-        if role is not None:
-            which, (kind, operand, n) = role
-            moves = available_moves(arena.model, config)
-            action = moves[0][0]
-            if which == "first":
+        role = role_at(arena, config)
+        if role is None:
+            return _forced_move(arena, config)
+        if role.kind in (FIRST, SECOND):
+            kind, operand, n = role.gadget
+            if role.kind == FIRST:
                 delay = v[operand] / n if kind == "div" else v[operand] * n
             else:
-                holder = "u" if arena.target == "rsa4" else ("y" if operand == "x" else "x")
-                delay = v[holder]
-            return TimedAction(delay, action)
-
-        if loc.kind == "node":
-            comp_name, short = loc.name.rsplit(".", 1)
-            if short == "br" and comp_name.startswith("I"):
-                if machine_trace is None:
-                    raise HarnessError("branch assertion reached but no machine was supplied")
-                step = current_step(arena, run)
-                if step >= len(machine_trace):
-                    raise HarnessError("playout ran past the machine trace")
-                mcfg = machine_trace[step]
-                ins = machine.instructions[mcfg.pc]
-                if not isinstance(ins, ZeroCheck):
-                    raise HarnessError(f"machine step {step} is not a zero-check")
-                positive = mcfg.counter(ins.counter) > 0
-                return TimedAction(Fraction(0), f"{comp_name}.{'apos' if positive else 'azero'}")
-            chosen = _cert_choice(loc.name, v)
-            if chosen is not None:
-                return TimedAction(Fraction(0), f"{comp_name}.{chosen}")
-
+                delay = v[role.holder]
+            return TimedAction(delay, available_moves(arena.model, config)[0][0])
+        if role.kind == BRANCH:
+            if machine_trace is None:
+                raise HarnessError("branch assertion reached but no machine was supplied")
+            step = current_step(arena, run)
+            if step >= len(machine_trace):
+                raise HarnessError("playout ran past the machine trace")
+            mcfg = machine_trace[step]
+            ins = machine.instructions[mcfg.pc]
+            if not isinstance(ins, ZeroCheck):
+                raise HarnessError(f"machine step {step} is not a zero-check")
+            positive = mcfg.counter(ins.counter) > 0
+            return TimedAction(Fraction(0), role.actions[0 if positive else 1])
+        if role.kind == CERT:
+            x, y = v["x"], v["y"]
+            tests = zip(role.actions, role.rule)
+            return TimedAction(Fraction(0), next((a for a, t in tests if CERT_TESTS[t](x, y)), role.actions[-1]))
         return _forced_move(arena, config)
 
     return strategy
@@ -324,46 +262,25 @@ def parse_slot(slot: str) -> Tuple[str, str]:
     return prefix, which
 
 
+def canonical_slot(slot: str) -> str:
+    """The slot as ``decision_slot`` reports it: "div1" -> "div1.check1"."""
+    prefix, which = parse_slot(slot)
+    return "branch" if prefix == "branch" else f"{prefix}.{which}"
+
+
 def known_slots(arena: CompiledArena) -> List[str]:
-    out = set()
-    for slots in arena.gadget_slots.values():
-        for prefix in slots.values():
-            if prefix == "branch":
-                out.add("branch")
-            else:
-                out.add(f"{prefix}.check1")
-                out.add(f"{prefix}.check2")
-    return sorted(out)
+    prefixes = {prefix for _instruction, prefix in arena.slots.values()}
+    return sorted({p if p == "branch" else f"{p}.{check}" for p in prefixes for check in (CHECK1, CHECK2)})
 
 
 def check_decision(arena: CompiledArena, config: RhaConfiguration):
     """If the configuration is a scaler verification decision (inside or
     outside certificates), return (which, params) with which in
     {"check1", "check2"} and params the gadget's (kind, operand, n)."""
-    loc = config.location
-    if arena.target == "rta3":
-        if loc.kind != "ret":
-            return None
-        if loc.box.endswith(".d1"):
-            which = "check1"
-        elif loc.box.endswith(".d2"):
-            which = "check2"
-        else:
-            return None
-        params = arena.gadget_params.get(_gadget_of_box(loc.box))
-    else:
-        if loc.kind != "node":
-            return None
-        if loc.name.endswith(".l2"):
-            which = "check1"
-        elif loc.name.endswith(".l4"):
-            which = "check2"
-        else:
-            return None
-        params = arena.gadget_params.get(loc.name.rsplit(".", 1)[0])
-    if params is None:
+    role = role_at(arena, config)
+    if role is None or role.kind not in (CHECK1, CHECK2):
         return None
-    return which, params
+    return role.kind, role.gadget
 
 
 def decode_encoding(valuation) -> Optional[Tuple[int, int, int]]:
@@ -404,60 +321,37 @@ def tortoise_auditor(arena: CompiledArena) -> TimedStrategy:
     def strategy(run: TimedRun) -> TimedAction:
         config = run.last()
         v = config.valuation
-        loc = config.location
-
-        decision = check_decision(arena, config)
-        if decision is not None:
-            which, (kind, operand, n) = decision
-            holder = "u" if arena.target == "rsa4" else _other_var(operand)
-            if which == "check1":
+        role = role_at(arena, config)
+        if role is None or role.kind not in TORTOISE_ROLES:
+            return _first_zero_move(arena, config)
+        if role.kind in (CHECK1, CHECK2):
+            kind, operand, n = role.gadget
+            holder = role.holder
+            if role.kind == CHECK1:
                 cheated = (n * v[holder] != v[operand]) if kind == "div" else (v[holder] != n * v[operand])
-                action_short = "audit"
             else:
                 cheated = v[operand] != v[holder]
-                action_short = "audit2"
-            if cheated:
-                return _move_by_short(arena, config, action_short)
-            return _first_zero_move(arena, config)
-
-        if loc.kind == "node" and (loc.name.endswith(".vp") or loc.name.endswith(".vz")):
-            claim_positive = loc.name.endswith(".vp")
-            counter = _challenge_counter(arena, config)
+        else:
             decoded = decode_encoding(v)
-            lie = True
-            if decoded is not None and counter is not None:
-                k, c, d = decoded
-                value = c if counter == "c1" else d
-                truth = value > 0 if claim_positive else value == 0
-                lie = not truth
-            if lie:
-                return _move_by_short(arena, config, "challenge")
+            cheated = True
+            if decoded is not None:
+                _k, c, d = decoded
+                value = c if role.counter == "c1" else d
+                cheated = not (value > 0 if role.kind == POSITIVE else value == 0)
+        if cheated:
+            return _zero_move(arena, config, role.actions[0])
         return _first_zero_move(arena, config)
 
     return strategy
 
 
-def _other_var(a: str) -> str:
-    return "y" if a == "x" else "x"
-
-
-def _move_by_short(arena: CompiledArena, config: RhaConfiguration, short: str) -> TimedAction:
-    for action, intervals in available_moves(arena.model, config):
-        if action.rsplit(".", 1)[1] == short and intervals[0].contains(Fraction(0)):
+def _zero_move(arena: CompiledArena, config: RhaConfiguration, action: str) -> TimedAction:
+    """``action`` with delay 0 if it is available so, else the first move
+    that is."""
+    for available, intervals in available_moves(arena.model, config):
+        if available == action and intervals[0].contains(Fraction(0)):
             return TimedAction(Fraction(0), action)
     return _first_zero_move(arena, config)
-
-
-def _challenge_counter(arena: CompiledArena, config: RhaConfiguration) -> Optional[str]:
-    comp = arena.model.component_of_location(config.location)
-    for (src, action), dst in comp.transitions.items():
-        if src == config.location and action.endswith(".challenge") and dst.kind == "call":
-            callee = comp.boxes[dst.box]
-            if callee.endswith("_c1"):
-                return "c1"
-            if callee.endswith("_c2"):
-                return "c2"
-    return None
 
 
 def tortoise_verify_at(arena: CompiledArena, step: int, slot: str) -> TimedStrategy:
@@ -466,28 +360,18 @@ def tortoise_verify_at(arena: CompiledArena, step: int, slot: str) -> TimedStrat
     afterwards play delay 0 and the first available action."""
     if step < 0:
         raise HarnessError("verification step must be nonnegative")
-    prefix, which = parse_slot(slot)
-    target_slot = "branch" if prefix == "branch" else f"{prefix}.{which}"
+    target_slot = canonical_slot(slot)
     universe = known_slots(arena)
-    if target_slot not in universe and not (prefix == "branch" and "branch" in universe):
+    if target_slot not in universe:
         raise HarnessError(f"slot {slot!r} does not exist in this arena (known: {universe})")
+    verify_actions = frozenset(r.actions[0] for r in arena.roles.values() if r.kind in TORTOISE_ROLES)
 
     def strategy(run: TimedRun) -> TimedAction:
         config = run.last()
-        fired = any(
-            m.action.endswith(".audit") or m.action.endswith(".audit2") or m.action.endswith(".challenge")
-            for m in run.moves
-        )
-        if not fired:
+        if not any(m.action in verify_actions for m in run.moves):
             here = decision_slot(arena, config)
-            if here is not None and current_step(arena, run) == step:
-                _idx, here_slot = here
-                if here_slot == target_slot or (here_slot == "branch" == target_slot):
-                    comp_actions = available_moves(arena.model, config)
-                    for action, intervals in comp_actions:
-                        short = action.rsplit(".", 1)[1]
-                        if short in ("audit", "audit2", "challenge") and intervals[0].contains(Fraction(0)):
-                            return TimedAction(Fraction(0), action)
+            if here is not None and here[1] == target_slot and current_step(arena, run) == step:
+                return _zero_move(arena, config, role_at(arena, config).actions[0])
         return _first_zero_move(arena, config)
 
     return strategy
@@ -589,8 +473,8 @@ def delay_ordinal_addresses(arena: CompiledArena, machine: TwoCounterMachine) ->
             here = decision_slot(arena, run.configs[j])
             if here is not None:
                 prefix_run = TimedRun(run.configs[: j + 1], run.moves[:j])
-                check = "check1" if which == "first" else "check2"
-                slot_prefix = here[1].split(".", 1)[0]
+                check = CHECK1 if which == FIRST else CHECK2
+                slot_prefix, _which = parse_slot(here[1])
                 out.append(
                     (ordinal, (current_step(arena, prefix_run), f"{slot_prefix}.{check}"), run.moves[i].delay)
                 )

@@ -204,7 +204,8 @@ class RhaModel(RsmModel):
 
 def validate_rha(model: RhaModel) -> List[str]:
     """Structural RSM checks plus hybrid-specific ones (pass sets,
-    flow totality and nonnegativity, guard/invariant variables)."""
+    flow totality and nonnegativity, guard/invariant variables and
+    relations)."""
     errors = validate(model)
     varset = set(model.variables)
     for comp in model.components:
@@ -223,6 +224,8 @@ def validate_rha(model: RhaModel) -> List[str]:
             for atom in constraint.atoms:
                 if atom.var not in varset:
                     errors.append(f"{comp.name}: constraint on unknown variable {atom.var}")
+                if atom.rel not in RELATIONS:
+                    errors.append(f"{comp.name}: unknown relation {atom.rel!r} in a constraint on {atom.var}")
         for (src, action), cleared in comp.resets.items():
             if not set(cleared) <= varset:
                 errors.append(f"{comp.name}: reset of unknown variables on {action} at {src}")

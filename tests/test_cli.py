@@ -134,6 +134,29 @@ def test_simulate_deviation_plus_verify_misses_finals(tmp_path, capsys):
     assert data["outcome"] != "final"
 
 
+@pytest.mark.parametrize("step", [5, 4, -1], ids=["far-past", "one-past", "negative"])
+def test_simulate_deviation_outside_the_free_delays_exits_2(tmp_path, capsys, step):
+    # the faithful run of INC c1; HALT has free delays 0..3
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "simulate", arena_path, machine_path, f"--deviate={step}:1/2")
+    assert_one_line_error(code, err)
+    assert "free delays" in err
+
+
+def test_simulate_uncrossed_verify_address_exits_2(tmp_path, capsys):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "simulate", arena_path, machine_path, "--tortoise", "verify:99:div1")
+    assert_one_line_error(code, err)
+    assert "verify:99:div1" in err
+
+
+def test_check_malformed_deviation_exits_2(tmp_path, capsys):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "check", arena_path, machine_path, "--deviate", "abc")
+    assert_one_line_error(code, err)
+    assert "expected STEP:OFFSET" in err
+
+
 def test_simulate_writes_trace(tmp_path, capsys):
     arena_path, machine_path = _compiled(tmp_path, capsys, target="rsa4")
     trace_path = str(tmp_path / "trace.jsonl")
@@ -244,8 +267,13 @@ def _first_transition(arena):
         (lambda side: side.pop("entry"), "entry"),
         (lambda side: side.update(entry="node:nowhere"), "node:nowhere"),
         (lambda side: side["initialValuation"].pop("z"), "initialValuation"),
+        (lambda side: side.pop("roles"), "roles"),
+        (lambda side: side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"].update(kind="audit"), "malformed role"),
+        (lambda side: side["roles"]["locations"].update(
+            {"node:nowhere": side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"]}), "node:nowhere"),
     ],
-    ids=["missing-entry", "unknown-entry", "partial-valuation"],
+    ids=["missing-entry", "unknown-entry", "partial-valuation", "missing-roles", "malformed-role",
+         "role-at-unknown-location"],
 )
 def test_check_bad_sidecar_exits_2(tmp_path, capsys, edit, named):
     arena_path, machine_path = _compiled(tmp_path, capsys)

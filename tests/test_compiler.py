@@ -439,7 +439,7 @@ def test_arena_json_round_trip():
         assert again.partition == arena.partition
         assert again.initial_valuation == arena.initial_valuation
         assert again.instruction_anchor == arena.instruction_anchor
-        assert again.gadget_slots == arena.gadget_slots
+        assert again.roles == arena.roles and again.slots == arena.slots
         # a playout on the round-tripped arena behaves identically
         v1 = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena))
         v2 = playout(again, faithful_achilles(machine, again), tortoise_skip_all(again))

@@ -4,10 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from machines import halting_corpus
 from rhagames.compiler import build_div, compile, host_arena
 from rhagames.errors import HarnessError
+from rhagames.games import Player
 from rhagames.harness import (
     check_encoding,
     check_time_ledger,
@@ -27,7 +30,7 @@ from rhagames.harness import (
 )
 from rhagames.rha import run_duration
 from rhagames.rsm import node
-from rhagames.tcm import Halt, Inc, TwoCounterMachine, ZeroCheck
+from rhagames.tcm import Dec, Halt, Inc, TwoCounterMachine, ZeroCheck
 
 INC_HALT = TwoCounterMachine((Inc("c1", 1), Halt()))
 HALT_ONLY = TwoCounterMachine((Halt(),))
@@ -313,3 +316,49 @@ def test_trace_export_json_lines(tmp_path):
     assert last["elapsed_total"] == "7/6"
     records = trace_records(verdict)
     assert [json.loads(l) for l in lines] == records
+
+
+# -- random halting machines ------------------------------------------------------------
+
+
+@st.composite
+def straight_runs(draw):
+    """Halting machines whose run executes L0, L1, ... in order: a
+    decrement only meets a positive counter and a zero-check's taken
+    branch is the next instruction (the other branch goes anywhere)."""
+    n = draw(st.integers(1, 5))
+    values = {"c1": 0, "c2": 0}
+    instructions = []
+    for i in range(n):
+        counter = draw(st.sampled_from(("c1", "c2")))
+        kind = draw(st.sampled_from(("inc", "dec", "zerocheck") if values[counter] else ("inc", "zerocheck")))
+        if kind == "inc":
+            values[counter] += 1
+            instructions.append(Inc(counter, i + 1))
+        elif kind == "dec":
+            values[counter] -= 1
+            instructions.append(Dec(counter, i + 1))
+        else:
+            other = draw(st.integers(0, n))
+            taken = (i + 1, other) if values[counter] else (other, i + 1)
+            instructions.append(ZeroCheck(counter, *taken))
+    return TwoCounterMachine(tuple(instructions) + (Halt(),))
+
+
+TORTOISE_KINDS = {"check1", "check2", "positive", "zero"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(straight_runs())
+def test_random_halting_machines_play_out_faithfully(machine):
+    for target in ("rta3", "rsa4"):
+        arena = compile(machine, target)
+        verdict = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena))
+        assert verdict.outcome == "final" and verdict.location == node("Main.HALT")
+        assert check_encoding(verdict, machine, arena).ok
+        assert check_time_ledger(verdict, arena).ok
+        locations = set(arena.model.all_locations())
+        for loc, role in arena.roles.items():
+            assert loc in locations
+            owner = Player.TORTOISE if role.kind in TORTOISE_KINDS else Player.ACHILLES
+            assert arena.partition[loc] is owner, (loc, role)

@@ -181,6 +181,17 @@ def test_guard_checked_at_endpoint():
     assert ok.valuation["x"] == Fraction(1)
 
 
+def test_unknown_relation_fails_validation():
+    # enabled_delays would offer (1, inf) for this guard while timed_step
+    # rejects the move, so validation must reject the model first
+    model = two_var_model()
+    model.by_name["W"].guards[(node("wm"), "w_out")] = conj(("x", "~", 1))
+    assert validate_rha(model) == ["W: unknown relation '~' in a constraint on x"]
+    model.by_name["W"].guards.clear()
+    model.by_name["W"].invariants[node("wm")] = conj(("y", "==", 0))
+    assert validate_rha(model) == ["W: unknown relation '==' in a constraint on y"]
+
+
 # -- enabled delays ----------------------------------------------------------------
 
 
