@@ -50,6 +50,7 @@ from .compiler import (
     host_arena,
 )
 from .harness import (
+    Position,
     Verdict,
     check_encoding,
     check_time_ledger,

@@ -13,6 +13,8 @@ the contract required here.
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Union
 
+from .errors import ParseError
+
 Rational = Fraction
 
 RationalLike = Union[Rational, int, str]
@@ -22,12 +24,18 @@ Valuation = Dict[str, Rational]
 
 
 def rat(value: RationalLike) -> Rational:
-    """Coerce an int, Fraction, or ``"p/q"`` string to an exact rational."""
+    """Coerce an int, Fraction, or ``"p/q"`` string to an exact rational;
+    text that is not a rational (a zero denominator included) raises
+    ``ParseError``."""
     if isinstance(value, Rational):
         return value
     if isinstance(value, int):
         return Rational(value)
-    return Rational(str(value).strip())
+    text = str(value).strip()
+    try:
+        return Rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{text!r} is not a rational") from exc
 
 
 def fmt(value: Rational) -> str:

@@ -133,7 +133,7 @@ def _achilles_from_spec(arena, machine, spec):
     try:
         step_text, offset_text = spec.split(":")
         ordinal, offset = int(step_text), rat(offset_text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ParseError) as exc:
         raise HarnessError(f"bad --deviate value {spec!r}; expected STEP:OFFSET") from exc
     delays = count_free_delays(arena, machine)
     if not 0 <= ordinal < delays:

@@ -1,5 +1,12 @@
 """Strategies and playout machinery over compiled arenas.
 
+A strategy maps a ``Position`` to a timed move.  The position holds the
+current configuration, its compiler-declared role, the moves available
+there, and the counters ``playout`` keeps as it goes: the machine step
+being simulated, the free delays already taken and whether Tortoise has
+verified.  No strategy looks at the run behind it, so the cost of one
+decision does not grow with the length of the run.
+
 The faithful Achilles strategy simulates the counter machine: at every
 free delay it supplies the contract delay of the enclosing gadget
 (read off the current exact valuation), at branch points it follows the
@@ -50,8 +57,6 @@ from .rha import (
 from .rsm import Location, call
 from .tcm import TwoCounterMachine, ZeroCheck, tcm_run
 
-TimedStrategy = Callable[[TimedRun], TimedAction]
-
 DEFAULT_STEP_BOUND = 10_000
 DEFAULT_TIME_BOUND = Fraction(4)
 
@@ -68,6 +73,25 @@ class Verdict:
 
     def reached_final(self) -> bool:
         return self.outcome == "final"
+
+
+@dataclass(frozen=True)
+class Position:
+    """What a strategy sees at a decision: the configuration, its role
+    (``role_at``), the available moves (``available_moves``), the machine
+    step being simulated (instruction anchors entered so far minus one,
+    at least 0), the number of free-delay decisions already taken, and
+    whether a Tortoise role's verify action has been played."""
+
+    config: RhaConfiguration
+    role: Optional[Role]
+    moves: List[Tuple[str, List[Interval]]]
+    step: int
+    delays: int
+    verified: bool
+
+
+TimedStrategy = Callable[[Position], TimedAction]
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +113,17 @@ def role_at(arena: CompiledArena, config: RhaConfiguration) -> Optional[Role]:
     return role
 
 
-def free_delay_role(arena: CompiledArena, config: RhaConfiguration):
-    """If the configuration is a free-delay node of a scaler gadget,
-    return (role, (kind, operand, n)) with role "first" or "second"."""
-    role = role_at(arena, config)
-    if role is None or role.kind not in (FIRST, SECOND):
-        return None
-    return role.kind, role.gadget
+def _is_free_delay(role: Optional[Role]) -> bool:
+    """Is this the role of one of Achilles' two free delays of a scaler?"""
+    return role is not None and role.kind in (FIRST, SECOND)
 
 
-def decision_slot(arena: CompiledArena, config: RhaConfiguration) -> Optional[Tuple[int, str]]:
-    """If the configuration is an addressable Tortoise decision, return
+def decision_slot(arena: CompiledArena, position: Position) -> Optional[Tuple[int, str]]:
+    """If the position is an addressable Tortoise decision, return
     (instruction index, slot) with slot like "div1.check1" or "branch".
     Verification decisions inside certificate sub-gadgets are not
     addressable and yield None."""
-    role = role_at(arena, config)
+    role, config = position.role, position.config
     if role is None:
         return None
     if role.kind in (POSITIVE, ZERO):
@@ -116,26 +136,15 @@ def decision_slot(arena: CompiledArena, config: RhaConfiguration) -> Optional[Tu
     return owner[0], f"{owner[1]}.{role.kind}"
 
 
-def anchors_hit(arena: CompiledArena, run: TimedRun) -> int:
-    anchor_set = arena.anchor_locations()
-    return sum(1 for cfg in run.configs if cfg.location in anchor_set)
-
-
-def current_step(arena: CompiledArena, run: TimedRun) -> int:
-    """Machine step the playout is currently executing (0-based)."""
-    return max(0, anchors_hit(arena, run) - 1)
-
-
 # ---------------------------------------------------------------------------
 # Achilles strategies
 # ---------------------------------------------------------------------------
 
 
-def _forced_move(arena: CompiledArena, config: RhaConfiguration) -> TimedAction:
-    moves = available_moves(arena.model, config)
-    if not moves:
-        raise HarnessError(f"no move available at {config.location}")
-    action, intervals = moves[0]
+def _forced_move(position: Position) -> TimedAction:
+    if not position.moves:
+        raise HarnessError(f"no move available at {position.config.location}")
+    action, intervals = position.moves[0]
     ivl = intervals[0]
     if ivl.contains(Fraction(0)):
         return TimedAction(Fraction(0), action)
@@ -160,23 +169,22 @@ def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena
             )
         machine_trace, _halted = tcm_run(machine, DEFAULT_STEP_BOUND)
 
-    def strategy(run: TimedRun) -> TimedAction:
-        config = run.last()
-        v = config.valuation
-        role = role_at(arena, config)
+    def strategy(position: Position) -> TimedAction:
+        v = position.config.valuation
+        role = position.role
         if role is None:
-            return _forced_move(arena, config)
+            return _forced_move(position)
         if role.kind in (FIRST, SECOND):
             kind, operand, n = role.gadget
             if role.kind == FIRST:
                 delay = v[operand] / n if kind == "div" else v[operand] * n
             else:
                 delay = v[role.holder]
-            return TimedAction(delay, available_moves(arena.model, config)[0][0])
+            return TimedAction(delay, position.moves[0][0])
         if role.kind == BRANCH:
             if machine_trace is None:
                 raise HarnessError("branch assertion reached but no machine was supplied")
-            step = current_step(arena, run)
+            step = position.step
             if step >= len(machine_trace):
                 raise HarnessError("playout ran past the machine trace")
             mcfg = machine_trace[step]
@@ -189,7 +197,7 @@ def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena
             x, y = v["x"], v["y"]
             tests = zip(role.actions, role.rule)
             return TimedAction(Fraction(0), next((a for a, t in tests if CERT_TESTS[t](x, y)), role.actions[-1]))
-        return _forced_move(arena, config)
+        return _forced_move(position)
 
     return strategy
 
@@ -204,21 +212,14 @@ def deviated_achilles(
     ordinal-th free-delay decision (0-based, counted along the playout)."""
     base = faithful_achilles(machine, arena)
 
-    def strategy(run: TimedRun) -> TimedAction:
-        move = base(run)
-        if free_delay_role(arena, run.last()) is None:
+    def strategy(position: Position) -> TimedAction:
+        move = base(position)
+        if position.delays != ordinal or not _is_free_delay(position.role):
             return move
-        seen = sum(
-            1
-            for i in range(len(run.configs) - 1)
-            if free_delay_role(arena, run.configs[i]) is not None
-        )
-        if seen == ordinal:
-            deviated = move.delay + offset
-            if deviated < 0:
-                raise HarnessError(f"deviation at ordinal {ordinal} yields a negative delay")
-            return TimedAction(deviated, move.action)
-        return move
+        deviated = move.delay + offset
+        if deviated < 0:
+            raise HarnessError(f"deviation at ordinal {ordinal} yields a negative delay")
+        return TimedAction(deviated, move.action)
 
     return strategy
 
@@ -228,10 +229,10 @@ def deviated_achilles(
 # ---------------------------------------------------------------------------
 
 
-def _first_zero_move(arena: CompiledArena, config: RhaConfiguration) -> TimedAction:
-    moves = available_moves(arena.model, config)
+def _first_zero_move(position: Position) -> TimedAction:
+    moves = position.moves
     if not moves:
-        raise HarnessError(f"no move available at {config.location}")
+        raise HarnessError(f"no move available at {position.config.location}")
     for action, intervals in moves:
         if intervals[0].contains(Fraction(0)):
             return TimedAction(Fraction(0), action)
@@ -243,10 +244,7 @@ def tortoise_skip_all(arena: CompiledArena) -> TimedStrategy:
     """Never verify: always continue the simulation with delay 0.  The
     continue action is listed first at every Tortoise decision."""
 
-    def strategy(run: TimedRun) -> TimedAction:
-        return _first_zero_move(arena, run.last())
-
-    return strategy
+    return _first_zero_move
 
 
 def parse_slot(slot: str) -> Tuple[str, str]:
@@ -271,16 +269,6 @@ def canonical_slot(slot: str) -> str:
 def known_slots(arena: CompiledArena) -> List[str]:
     prefixes = {prefix for _instruction, prefix in arena.slots.values()}
     return sorted({p if p == "branch" else f"{p}.{check}" for p in prefixes for check in (CHECK1, CHECK2)})
-
-
-def check_decision(arena: CompiledArena, config: RhaConfiguration):
-    """If the configuration is a scaler verification decision (inside or
-    outside certificates), return (which, params) with which in
-    {"check1", "check2"} and params the gadget's (kind, operand, n)."""
-    role = role_at(arena, config)
-    if role is None or role.kind not in (CHECK1, CHECK2):
-        return None
-    return role.kind, role.gadget
 
 
 def decode_encoding(valuation) -> Optional[Tuple[int, int, int]]:
@@ -318,12 +306,11 @@ def tortoise_auditor(arena: CompiledArena) -> TimedStrategy:
     this strategy a faithful Achilles is never interrupted, while any
     unfaithful move runs into a check it cannot complete."""
 
-    def strategy(run: TimedRun) -> TimedAction:
-        config = run.last()
-        v = config.valuation
-        role = role_at(arena, config)
+    def strategy(position: Position) -> TimedAction:
+        v = position.config.valuation
+        role = position.role
         if role is None or role.kind not in TORTOISE_ROLES:
-            return _first_zero_move(arena, config)
+            return _first_zero_move(position)
         if role.kind in (CHECK1, CHECK2):
             kind, operand, n = role.gadget
             holder = role.holder
@@ -339,19 +326,19 @@ def tortoise_auditor(arena: CompiledArena) -> TimedStrategy:
                 value = c if role.counter == "c1" else d
                 cheated = not (value > 0 if role.kind == POSITIVE else value == 0)
         if cheated:
-            return _zero_move(arena, config, role.actions[0])
-        return _first_zero_move(arena, config)
+            return _zero_move(position, role.actions[0])
+        return _first_zero_move(position)
 
     return strategy
 
 
-def _zero_move(arena: CompiledArena, config: RhaConfiguration, action: str) -> TimedAction:
+def _zero_move(position: Position, action: str) -> TimedAction:
     """``action`` with delay 0 if it is available so, else the first move
     that is."""
-    for available, intervals in available_moves(arena.model, config):
+    for available, intervals in position.moves:
         if available == action and intervals[0].contains(Fraction(0)):
             return TimedAction(Fraction(0), action)
-    return _first_zero_move(arena, config)
+    return _first_zero_move(position)
 
 
 def tortoise_verify_at(arena: CompiledArena, step: int, slot: str) -> TimedStrategy:
@@ -364,15 +351,13 @@ def tortoise_verify_at(arena: CompiledArena, step: int, slot: str) -> TimedStrat
     universe = known_slots(arena)
     if target_slot not in universe:
         raise HarnessError(f"slot {slot!r} does not exist in this arena (known: {universe})")
-    verify_actions = frozenset(r.actions[0] for r in arena.roles.values() if r.kind in TORTOISE_ROLES)
 
-    def strategy(run: TimedRun) -> TimedAction:
-        config = run.last()
-        if not any(m.action in verify_actions for m in run.moves):
-            here = decision_slot(arena, config)
-            if here is not None and here[1] == target_slot and current_step(arena, run) == step:
-                return _zero_move(arena, config, role_at(arena, config).actions[0])
-        return _first_zero_move(arena, config)
+    def strategy(position: Position) -> TimedAction:
+        if not position.verified and position.step == step:
+            here = decision_slot(arena, position)
+            if here is not None and here[1] == target_slot:
+                return _zero_move(position, position.role.actions[0])
+        return _first_zero_move(position)
 
     return strategy
 
@@ -394,92 +379,103 @@ def playout(
     A final location is reported as soon as it is entered, provided the
     elapsed time does not exceed ``time_bound`` (None disables the
     bound).  ``stuck`` means the mover has no legal move; ``exhausted``
-    means the step bound was hit first.
+    means the step bound was hit first.  The counters of ``Position``
+    are kept here, one update per move.
     """
-    config = initial_rha_config(arena.model, arena.entry.name, arena.initial_valuation)
-    run = TimedRun((config,))
+    if step_bound < 0:
+        raise HarnessError(f"step bound must be nonnegative, not {step_bound}")
+    model, anchors = arena.model, arena.anchor_locations()
+    config = initial_rha_config(model, arena.entry.name, arena.initial_valuation)
+    configs, played = [config], []
     elapsed = Fraction(0)
-    for step in range(step_bound):
-        config = run.last()
+    anchors_hit = int(config.location in anchors)
+    delays, verified = 0, False
+    outcome = "exhausted"
+    for step in range(step_bound + 1):
         if config.location in arena.finals and (time_bound is None or elapsed <= time_bound):
-            return Verdict("final", run, location=config.location, elapsed=elapsed, steps=step)
+            outcome = "final"
+            break
+        if step == step_bound:
+            break
         loc = config.location
-        if loc.kind == "call" or is_exit(arena.model, loc):
-            moves = available_moves(arena.model, config)
-            if not moves:
-                return Verdict("stuck", run, elapsed=elapsed, steps=step)
+        moves = available_moves(model, config)
+        if not moves:
+            outcome = "stuck"
+            break
+        if loc.kind == "call" or is_exit(model, loc):
             move = TimedAction(Fraction(0), moves[0][0])
             try:
-                nxt = timed_step(arena.model, config, move)
+                nxt = timed_step(model, config, move)
             except MoveError:
                 # push/pop rejected by the target invariant: no legal move
-                return Verdict("stuck", run, elapsed=elapsed, steps=step)
+                outcome = "stuck"
+                break
         else:
-            if not available_moves(arena.model, config):
-                return Verdict("stuck", run, elapsed=elapsed, steps=step)
-            owner = arena.partition.get(loc, Player.ACHILLES)
-            mover = achilles if owner is Player.ACHILLES else tortoise
-            move = mover(run)
+            role = role_at(arena, config)
+            position = Position(config, role, moves, max(0, anchors_hit - 1), delays, verified)
+            mover = achilles if arena.partition.get(loc, Player.ACHILLES) is Player.ACHILLES else tortoise
+            move = mover(position)
             try:
-                nxt = timed_step(arena.model, config, move)
+                nxt = timed_step(model, config, move)
             except MoveError as exc:
                 raise StrategyError(f"step {step}: illegal move {move} at {loc}: {exc}") from exc
+            delays += _is_free_delay(role)
+            verified = verified or (role is not None and role.kind in TORTOISE_ROLES and move.action == role.actions[0])
         elapsed += move.delay
-        run = TimedRun(run.configs + (nxt,), run.moves + (move,))
-    config = run.last()
-    if config.location in arena.finals and (time_bound is None or elapsed <= time_bound):
-        return Verdict("final", run, location=config.location, elapsed=elapsed, steps=step_bound)
-    return Verdict("exhausted", run, elapsed=elapsed, steps=step_bound)
+        configs.append(nxt)
+        played.append(move)
+        config = nxt
+        anchors_hit += config.location in anchors
+    run = TimedRun(tuple(configs), tuple(played))
+    location = config.location if outcome == "final" else None
+    return Verdict(outcome, run, location=location, elapsed=elapsed, steps=step)
+
+
+def _faithful_decisions(arena: CompiledArena, machine: TwoCounterMachine) -> List[Tuple[Position, TimedAction]]:
+    """Every (position, move) decision of the faithful unverified playout,
+    in order."""
+    decisions: List[Tuple[Position, TimedAction]] = []
+
+    def recorded(strategy: TimedStrategy) -> TimedStrategy:
+        def play(position: Position) -> TimedAction:
+            move = strategy(position)
+            decisions.append((position, move))
+            return move
+
+        return play
+
+    playout(arena, recorded(faithful_achilles(machine, arena)), recorded(tortoise_skip_all(arena)), time_bound=None)
+    return decisions
 
 
 def enumerate_verify_addresses(arena: CompiledArena, machine: TwoCounterMachine) -> List[Tuple[int, str]]:
     """All (step, slot) verification addresses crossed by the faithful
     unverified playout, in order of first occurrence."""
-    verdict = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena), time_bound=None)
-    seen: List[Tuple[int, str]] = []
-    run = verdict.trace
-    for i, config in enumerate(run.configs):
-        here = decision_slot(arena, config)
-        if here is None:
-            continue
-        prefix_run = TimedRun(run.configs[: i + 1], run.moves[:i])
-        address = (current_step(arena, prefix_run), here[1])
-        if address not in seen:
-            seen.append(address)
-    return seen
+    slots = ((position.step, decision_slot(arena, position)) for position, _move in _faithful_decisions(arena, machine))
+    return list(dict.fromkeys((step, here[1]) for step, here in slots if here is not None))
 
 
 def count_free_delays(arena: CompiledArena, machine: TwoCounterMachine) -> int:
     """Number of free-delay decisions along the faithful unverified playout."""
-    verdict = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena), time_bound=None)
-    return sum(1 for cfg in verdict.trace.configs[:-1] if free_delay_role(arena, cfg) is not None)
+    return sum(_is_free_delay(position.role) for position, _move in _faithful_decisions(arena, machine))
 
 
 def delay_ordinal_addresses(arena: CompiledArena, machine: TwoCounterMachine) -> List[Tuple[int, Tuple[int, str], Rational]]:
     """For each free-delay ordinal of the faithful playout: the ordinal,
     the (step, slot) address of the same-gadget decision that audits it,
-    and the faithful delay value."""
-    verdict = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena), time_bound=None)
-    run = verdict.trace
-    out = []
-    ordinal = 0
-    for i, config in enumerate(run.configs[:-1]):
-        role = free_delay_role(arena, config)
-        if role is None:
+    and the faithful delay value.  The auditing decision is the next
+    addressable Tortoise decision after the delay."""
+    out, pending = [], []  # pending: (ordinal, check, delay) of free delays not audited yet
+    for position, move in _faithful_decisions(arena, machine):
+        if _is_free_delay(position.role):
+            check = CHECK1 if position.role.kind == FIRST else CHECK2
+            pending.append((position.delays, check, move.delay))
             continue
-        which, _params = role
-        # The auditing decision is the next Tortoise decision after the delay.
-        for j in range(i + 1, len(run.configs)):
-            here = decision_slot(arena, run.configs[j])
-            if here is not None:
-                prefix_run = TimedRun(run.configs[: j + 1], run.moves[:j])
-                check = CHECK1 if which == FIRST else CHECK2
-                slot_prefix, _which = parse_slot(here[1])
-                out.append(
-                    (ordinal, (current_step(arena, prefix_run), f"{slot_prefix}.{check}"), run.moves[i].delay)
-                )
-                break
-        ordinal += 1
+        here = decision_slot(arena, position)
+        if here is not None:
+            slot_prefix, _which = parse_slot(here[1])
+            out.extend((ordinal, (position.step, f"{slot_prefix}.{check}"), delay) for ordinal, check, delay in pending)
+            pending = []
     return out
 
 
@@ -502,11 +498,7 @@ def _candidate_delays(intervals: List[Interval]) -> List[Rational]:
             out.append((ivl.lo + ivl.hi) / 2)
         if ivl.hi is None:
             out.append(ivl.lo + 1)
-    unique = []
-    for d in out:
-        if d not in unique:
-            unique.append(d)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def reachable_final_bounded(arena: CompiledArena, config: RhaConfiguration, depth: int) -> bool:

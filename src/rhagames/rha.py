@@ -455,10 +455,6 @@ def run_duration(run: TimedRun) -> Rational:
     return sum((m.delay for m in run.moves), Rational(0))
 
 
-def extend(run: TimedRun, move: TimedAction, config: RhaConfiguration) -> TimedRun:
-    return TimedRun(run.configs + (config,), run.moves + (move,))
-
-
 # ---------------------------------------------------------------------------
 # JSON model format (extends the RSM schema)
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ def tcm_step(machine: TwoCounterMachine, config: MachineConfig):
 def tcm_run(machine: TwoCounterMachine, max_steps: int) -> Tuple[List[MachineConfig], bool]:
     """The unique run from (L0, 0, 0): the visited configurations and
     whether HALT was reached within ``max_steps`` executed instructions."""
+    if max_steps < 0:
+        raise ModelError(f"step bound must be nonnegative, not {max_steps}")
     trace = [INITIAL]
     for _ in range(max_steps):
         nxt = tcm_step(machine, trace[-1])

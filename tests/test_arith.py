@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rhagames.arith import advance, fmt, make_valuation, rat, reset, restore, zero_valuation
+from rhagames.errors import ParseError
 
 
 def test_rat_parses_fraction_strings():
@@ -13,6 +15,12 @@ def test_rat_parses_fraction_strings():
     assert rat("-2/8") == Fraction(-1, 4)
     assert rat(7) == Fraction(7)
     assert rat(Fraction(5, 10)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text", ["1/0", " -3/0 ", "abc", "1/2/3", ""])
+def test_rat_rejects_text_that_is_not_a_rational(text):
+    with pytest.raises(ParseError, match=repr(text.strip())):
+        rat(text)
 
 
 def test_fmt_round_trips():

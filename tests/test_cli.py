@@ -51,6 +51,13 @@ def test_tcm_run_nonhalting(tmp_path, capsys):
     assert data["steps"] == 50
 
 
+def test_tcm_run_negative_step_bound_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "m.tcm", LOOP_TEXT)
+    code, _, err = run_cli(capsys, "tcm-run", path, "--max-steps", "-3")
+    assert_one_line_error(code, err)
+    assert "-3" in err
+
+
 def test_tcm_run_accepts_json_mirror(tmp_path, capsys):
     machine = TwoCounterMachine((Inc("c2", 1), Halt()))
     path = write(tmp_path, "m.json", json.dumps(machine_to_json(machine)))
@@ -155,6 +162,38 @@ def test_check_malformed_deviation_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", arena_path, machine_path, "--deviate", "abc")
     assert_one_line_error(code, err)
     assert "expected STEP:OFFSET" in err
+
+
+def test_simulate_negative_step_bound_exits_2(tmp_path, capsys):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "simulate", arena_path, machine_path, "--step-bound", "-5")
+    assert_one_line_error(code, err)
+    assert "-5" in err
+
+
+def _first_flow(arena):
+    return next(iter(next(c for c in arena["components"] if c.get("flows"))["flows"].values()))
+
+
+@pytest.mark.parametrize(
+    "target, edited, edit, flags, named",
+    [
+        ("rta3", None, None, ("--time-bound", "1/0"), "'1/0'"),
+        ("rta3", None, None, ("--time-bound", "one/half"), "'one/half'"),
+        ("rta3", "arena.sidecar.json", lambda side: side.update(time_bound="1/0"), (), "'1/0'"),
+        ("rta3", "arena.sidecar.json", lambda side: side["initialValuation"].update(x="1/0"), (), "'1/0'"),
+        ("rsa4", "arena.json", lambda arena: _first_flow(arena).update(x="1/0"), (), "'1/0'"),
+    ],
+    ids=["time-bound-zero-denominator", "time-bound-not-rational", "sidecar-time-bound",
+         "sidecar-initial-valuation", "flow-rate"],
+)
+def test_simulate_bad_rational_exits_2(tmp_path, capsys, target, edited, edit, flags, named):
+    arena_path, machine_path = _compiled(tmp_path, capsys, target=target)
+    if edited:
+        _edit_json(str(tmp_path / edited), edit)
+    code, _, err = run_cli(capsys, "simulate", arena_path, machine_path, *flags)
+    assert_one_line_error(code, err)
+    assert named in err
 
 
 def test_simulate_writes_trace(tmp_path, capsys):

@@ -55,19 +55,17 @@ def tortoise_challenger(arena, action_shorts):
     """Tortoise strategy taking the first decision whose action short-name
     is in ``action_shorts``; otherwise continue with delay 0."""
     from rhagames.harness import _first_zero_move
-    from rhagames.rha import available_moves
 
     fired = []
 
-    def strategy(run):
-        config = run.last()
+    def strategy(position):
         if not fired:
-            for action, intervals in available_moves(arena.model, config):
+            for action, intervals in position.moves:
                 short = action.rsplit(".", 1)[1]
                 if short in action_shorts and intervals[0].contains(Fraction(0)):
                     fired.append(True)
                     return TimedAction(Fraction(0), action)
-        return _first_zero_move(arena, config)
+        return _first_zero_move(position)
 
     return strategy
 
@@ -76,13 +74,12 @@ def asserting_achilles(arena, branch):
     """Faithful delays, but assert the given zero-check branch."""
     base = faithful_achilles(None, arena)
 
-    def strategy(run):
-        config = run.last()
-        loc = config.location
+    def strategy(position):
+        loc = position.config.location
         if loc.kind == "node" and loc.name.endswith(".br"):
             comp = loc.name.rsplit(".", 1)[0]
             return TimedAction(Fraction(0), f"{comp}.{'apos' if branch == 'pos' else 'azero'}")
-        return base(run)
+        return base(position)
 
     return strategy
 
@@ -217,13 +214,10 @@ def test_divider_deviation_loses_to_check(target):
     arena = host_arena(bundle, {"y": zeta}, target)
     base = faithful_achilles(None, arena)
 
-    def deviated(run):
-        move = base(run)
-        cfg = run.last()
-        from rhagames.harness import free_delay_role
-
-        role = free_delay_role(arena, cfg)
-        if role is not None and role[0] == "first":
+    def deviated(position):
+        move = base(position)
+        role = position.role
+        if role is not None and role.kind == "first":
             return TimedAction(move.delay + Fraction(1, 64), move.action)
         return move
 

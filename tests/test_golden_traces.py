@@ -3,8 +3,9 @@
 ``golden_traces.json`` holds sha256 digests of the compiled model JSON
 (both machine corpora and every single-gadget host arena) and of the
 trace records of faithful, verifying and deviating playouts on the
-halting corpus, together with each verdict's outcome, step count and
-elapsed time.  A refactor of the compiler or the harness that keeps
+halting corpus and of 1 000-move faithful playouts of the non-halting
+corpus, together with each verdict's outcome, step count and elapsed
+time.  A refactor of the compiler or the harness that keeps
 behaviour keeps every digest.  To re-record after an intended change:
 
     PYTHONPATH=src:tests python tests/test_golden_traces.py > tests/golden_traces.json
@@ -34,6 +35,7 @@ GOLDEN = Path(__file__).with_name("golden_traces.json")
 TARGETS = ("rta3", "rsa4")
 SMALL = (0, 3, 6)  # inc c1; pump and drain c1 through a zero-check loop; zero-check on c2
 OFFSET = Fraction(1, 64)
+LOOP_MOVES = 1000  # deep enough for branches to read machine steps far from 0
 
 
 def _sha(data) -> str:
@@ -57,7 +59,7 @@ def _hosts():
 
 
 def digests() -> dict:
-    out = {"models": {}, "faithful": {}, "verify": {}, "deviate": {}, "hosts": {}}
+    out = {"models": {}, "faithful": {}, "verify": {}, "deviate": {}, "hosts": {}, "loops": {}}
     for i, machine in enumerate(halting_corpus()):
         for target in TARGETS:
             key = f"{i}/{target}"
@@ -77,7 +79,10 @@ def digests() -> dict:
                 out["deviate"][f"{key}/{ordinal}@{step}:{slot}"] = _verdict(verdict)
     for i, machine in enumerate(nonhalting_corpus()):
         for target in TARGETS:
-            out["models"][f"loop{i}/{target}"] = _sha(arena_to_json(compile(machine, target))[0])
+            arena = compile(machine, target)
+            out["models"][f"loop{i}/{target}"] = _sha(arena_to_json(arena)[0])
+            verdict = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena), step_bound=LOOP_MOVES)
+            out["loops"][f"loop{i}/{target}"] = _verdict(verdict)
     for key, arena in _hosts():
         out["hosts"][key] = _sha(arena_to_json(arena)[0])
     return out

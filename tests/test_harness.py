@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machines import halting_corpus
+import rhagames.harness
+from machines import halting_corpus, nonhalting_corpus
 from rhagames.compiler import build_div, compile, host_arena
 from rhagames.errors import HarnessError
 from rhagames.games import Player
@@ -20,15 +21,15 @@ from rhagames.harness import (
     enumerate_verify_addresses,
     export_trace,
     faithful_achilles,
-    free_delay_role,
     playout,
     reachable_final_bounded,
+    role_at,
     tortoise_auditor,
     tortoise_skip_all,
     tortoise_verify_at,
     trace_records,
 )
-from rhagames.rha import run_duration
+from rhagames.rha import TimedRun, available_moves, run_duration
 from rhagames.rsm import node
 from rhagames.tcm import Dec, Halt, Inc, TwoCounterMachine, ZeroCheck
 
@@ -48,7 +49,7 @@ def test_faithful_first_divider_delay_is_half(target):
     # first free delay of Div{y,2} entered with y = 1 must be 1/2
     first_free = next(
         m for i, m in enumerate(verdict.trace.moves)
-        if free_delay_role(arena, verdict.trace.configs[i]) is not None
+        if getattr(role_at(arena, verdict.trace.configs[i]), "kind", None) in ("first", "second")
     )
     assert first_free.delay == Fraction(1, 2)
 
@@ -230,6 +231,83 @@ def test_auditor_punishes_every_first_deviation():
     assert punished >= 10
 
 
+# -- the incremental play state ----------------------------------------------------
+#
+# The oracle recounts every position field from scratch over the trace
+# prefix, with the formulas the harness used before it kept counters.
+
+
+def _recount_step(arena, prefix):
+    anchor_set = arena.anchor_locations()
+    return max(0, sum(1 for cfg in prefix.configs if cfg.location in anchor_set) - 1)
+
+
+def _recount_delays(arena, prefix):
+    return sum(1 for cfg in prefix.configs[:-1] if getattr(role_at(arena, cfg), "kind", None) in ("first", "second"))
+
+
+def _recount_verified(arena, prefix):
+    verify_actions = frozenset(r.actions[0] for r in arena.roles.values() if r.kind in TORTOISE_KINDS)
+    return any(m.action in verify_actions for m in prefix.moves)
+
+
+def _recorded(strategy, positions):
+    def play(position):
+        positions.append(position)
+        return strategy(position)
+
+    return play
+
+
+def _recount_cases():
+    for i, machine in enumerate(halting_corpus()):
+        for target in ("rta3", "rsa4"):
+            arena = compile(machine, target)
+            yield arena, faithful_achilles(machine, arena), tortoise_skip_all(arena), {}
+            if i not in (0, 3, 6):
+                continue
+            for step, slot in enumerate_verify_addresses(arena, machine):
+                tortoise = tortoise_verify_at(arena, step, slot)
+                yield arena, faithful_achilles(machine, arena), tortoise, {"time_bound": None}
+    machine = nonhalting_corpus()[3]
+    arena = compile(machine, "rta3")
+    yield arena, faithful_achilles(machine, arena), tortoise_skip_all(arena), {"step_bound": 1000}
+
+
+def test_positions_match_a_recount_and_moves_are_computed_once(monkeypatch):
+    calls = []
+
+    def counted(model, config):
+        calls.append(config)
+        return available_moves(model, config)
+
+    monkeypatch.setattr(rhagames.harness, "available_moves", counted)
+    verified_playouts = 0
+    for arena, achilles, tortoise, bounds in _recount_cases():
+        positions = []
+        calls.clear()
+        verdict = playout(arena, _recorded(achilles, positions), _recorded(tortoise, positions), **bounds)
+        assert len(calls) <= verdict.steps + (verdict.outcome == "stuck")
+        run = verdict.trace
+        index = {id(cfg): i for i, cfg in enumerate(run.configs)}
+        for position in positions:
+            i = index[id(position.config)]
+            prefix = TimedRun(run.configs[: i + 1], run.moves[:i])
+            assert position.step == _recount_step(arena, prefix)
+            assert position.delays == _recount_delays(arena, prefix)
+            assert position.verified == _recount_verified(arena, prefix)
+            assert position.role == role_at(arena, position.config)
+            assert position.moves == available_moves(arena.model, position.config)
+        verified_playouts += positions[-1].verified
+    assert verified_playouts > 0
+
+
+def test_negative_step_bound_is_harness_error():
+    arena = compile(INC_HALT, "rta3")
+    with pytest.raises(HarnessError, match="nonnegative"):
+        playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena), step_bound=-1)
+
+
 # -- checkers ---------------------------------------------------------------------
 
 
@@ -261,8 +339,6 @@ def test_check_encoding_empty_trace_is_vacuous():
     arena = compile(HALT_ONLY, "rta3")
     verdict = playout(arena, faithful_achilles(HALT_ONLY, arena), tortoise_skip_all(arena))
     # trim the trace before the first anchor: nothing to compare
-    from rhagames.rha import TimedRun
-
     trimmed = verdict.__class__(
         outcome=verdict.outcome,
         trace=TimedRun(verdict.trace.configs[:1]),

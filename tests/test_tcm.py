@@ -65,6 +65,12 @@ def test_run_self_loop_exhausts():
     assert len(trace) == 26  # initial configuration plus max_steps successors
 
 
+def test_run_negative_step_bound_is_model_error():
+    m = TwoCounterMachine((ZeroCheck("c1", 0, 1), Halt()))
+    with pytest.raises(ModelError, match="nonnegative"):
+        tcm_run(m, -1)
+
+
 def test_run_inc_then_dec():
     m = TwoCounterMachine((Inc("c1", 1), Dec("c1", 2), Halt()))
     trace, halted = tcm_run(m, 10)
