@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 property violated (a checker failed),
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,12 +23,11 @@ from .compiler import arena_from_json, arena_to_json, compile as compile_machine
 from .errors import CompileError, HarnessError, ModelError, MoveError, ParseError, StrategyError
 from .harness import (
     DEFAULT_STEP_BOUND,
+    _faithful_addresses,
     canonical_slot,
     check_encoding,
     check_time_ledger,
-    count_free_delays,
     deviated_achilles,
-    enumerate_verify_addresses,
     export_trace,
     faithful_achilles,
     playout,
@@ -108,9 +108,10 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _tortoise_from_spec(arena, machine, spec: str):
+def _tortoise_from_spec(arena, spec: str, faithful):
     """Tortoise for ``--tortoise``: the address of ``verify:STEP:SLOT``
-    must be crossed by the faithful unverified run."""
+    must be crossed by the faithful unverified run, whose (free delays,
+    verify addresses) ``faithful()`` returns."""
     if spec == "skip":
         return tortoise_skip_all(arena)
     if spec.startswith("verify:"):
@@ -119,13 +120,13 @@ def _tortoise_from_spec(arena, machine, spec: str):
             raise HarnessError(f"bad --tortoise value {spec!r}; expected verify:STEP:SLOT")
         step, slot = int(parts[1]), parts[2]
         strategy = tortoise_verify_at(arena, step, slot)
-        if (step, canonical_slot(slot)) not in enumerate_verify_addresses(arena, machine):
+        if (step, canonical_slot(slot)) not in faithful()[1]:
             raise HarnessError(f"--tortoise {spec}: the faithful run crosses no such decision")
         return strategy
     raise HarnessError(f"bad --tortoise value {spec!r}")
 
 
-def _achilles_from_spec(arena, machine, spec):
+def _achilles_from_spec(arena, machine, spec, faithful):
     """Achilles for ``--deviate STEP:OFFSET`` (faithful when absent): STEP
     must be an ordinal of a free delay of the faithful unverified run."""
     if spec is None:
@@ -135,7 +136,7 @@ def _achilles_from_spec(arena, machine, spec):
         ordinal, offset = int(step_text), rat(offset_text)
     except (ValueError, ParseError) as exc:
         raise HarnessError(f"bad --deviate value {spec!r}; expected STEP:OFFSET") from exc
-    delays = count_free_delays(arena, machine)
+    delays = faithful()[0]
     if not 0 <= ordinal < delays:
         raise HarnessError(f"--deviate {spec}: step {ordinal} is not one of the {delays} free delays of the faithful run")
     return deviated_achilles(machine, arena, ordinal, offset)
@@ -144,9 +145,11 @@ def _achilles_from_spec(arena, machine, spec):
 def cmd_simulate(args) -> int:
     arena = _load_arena(args.arena, args.sidecar)
     machine = _load_machine(args.machine)
-    achilles = _achilles_from_spec(arena, machine, args.deviate)
-    tortoise = _tortoise_from_spec(arena, machine, args.tortoise)
     time_bound = None if args.time_bound == "none" else rat(args.time_bound)
+    # one replay, on first use, checks both --deviate and --tortoise
+    faithful = functools.cache(lambda: _faithful_addresses(arena, machine, args.step_bound))
+    achilles = _achilles_from_spec(arena, machine, args.deviate, faithful)
+    tortoise = _tortoise_from_spec(arena, args.tortoise, faithful)
     verdict = playout(arena, achilles, tortoise, step_bound=args.step_bound, time_bound=time_bound)
     if args.trace:
         export_trace(verdict, args.trace)
@@ -169,6 +172,11 @@ def cmd_rsm_solve(args) -> int:
         raise ParseError("model is not well formed: " + "; ".join(problems))
     if start is None or partition is None:
         raise ParseError("model file must carry 'start' and 'partition'")
+    known = set(model.all_locations())
+    unknown = [f"{key} names {loc}" for key, locs in (("finals", finals or ()), ("partition", partition))
+               for loc in sorted(locs) if loc not in known]
+    if unknown:
+        raise ParseError("not a location of the model: " + "; ".join(unknown))
     if args.objective == "reach":
         if finals is None:
             raise ParseError("reachability objective needs 'finals'")
@@ -182,7 +190,7 @@ def cmd_rsm_solve(args) -> int:
 def cmd_check(args) -> int:
     arena = _load_arena(args.arena, args.sidecar)
     machine = _load_machine(args.machine)
-    achilles = _achilles_from_spec(arena, machine, args.deviate)
+    achilles = _achilles_from_spec(arena, machine, args.deviate, lambda: _faithful_addresses(arena, machine))
     verdict = playout(
         arena, achilles, tortoise_skip_all(arena),
         time_bound=arena.time_bound,

@@ -376,14 +376,17 @@ def playout(
 ) -> Verdict:
     """Deterministic playout from the arena's entry configuration.
 
-    A final location is reported as soon as it is entered, provided the
-    elapsed time does not exceed ``time_bound`` (None disables the
-    bound).  ``stuck`` means the mover has no legal move; ``exhausted``
-    means the step bound was hit first.  The counters of ``Position``
-    are kept here, one update per move.
+    A final location is reported as soon as it is entered.  ``stuck``
+    means the mover has no legal move; ``exhausted`` means that the step
+    bound was hit first or that the elapsed time exceeded ``time_bound``
+    (None disables it), in which case the run stops at once and ``steps``
+    counts the moves played.  The counters of ``Position`` are kept
+    here, one update per move.
     """
     if step_bound < 0:
         raise HarnessError(f"step bound must be nonnegative, not {step_bound}")
+    if time_bound is not None and time_bound < 0:
+        raise HarnessError(f"time bound must be nonnegative, not {fmt(time_bound)}")
     model, anchors = arena.model, arena.anchor_locations()
     config = initial_rha_config(model, arena.entry.name, arena.initial_valuation)
     configs, played = [config], []
@@ -392,7 +395,9 @@ def playout(
     delays, verified = 0, False
     outcome = "exhausted"
     for step in range(step_bound + 1):
-        if config.location in arena.finals and (time_bound is None or elapsed <= time_bound):
+        if time_bound is not None and elapsed > time_bound:
+            break
+        if config.location in arena.finals:
             outcome = "final"
             break
         if step == step_bound:
@@ -431,9 +436,11 @@ def playout(
     return Verdict(outcome, run, location=location, elapsed=elapsed, steps=step)
 
 
-def _faithful_decisions(arena: CompiledArena, machine: TwoCounterMachine) -> List[Tuple[Position, TimedAction]]:
-    """Every (position, move) decision of the faithful unverified playout,
-    in order."""
+def _faithful_decisions(
+    arena: CompiledArena, machine: TwoCounterMachine, step_bound: int = DEFAULT_STEP_BOUND
+) -> List[Tuple[Position, TimedAction]]:
+    """Every (position, move) decision of the faithful unverified playout
+    of at most ``step_bound`` moves, in order."""
     decisions: List[Tuple[Position, TimedAction]] = []
 
     def recorded(strategy: TimedStrategy) -> TimedStrategy:
@@ -444,20 +451,26 @@ def _faithful_decisions(arena: CompiledArena, machine: TwoCounterMachine) -> Lis
 
         return play
 
-    playout(arena, recorded(faithful_achilles(machine, arena)), recorded(tortoise_skip_all(arena)), time_bound=None)
+    playout(arena, recorded(faithful_achilles(machine, arena)), recorded(tortoise_skip_all(arena)), step_bound, None)
     return decisions
+
+
+def _faithful_addresses(
+    arena: CompiledArena, machine: TwoCounterMachine, step_bound: int = DEFAULT_STEP_BOUND
+) -> Tuple[int, List[Tuple[int, str]]]:
+    """The number of free delays and the (step, slot) verification
+    addresses, in order of first occurrence, of one faithful unverified
+    playout of at most ``step_bound`` moves."""
+    decisions = _faithful_decisions(arena, machine, step_bound)
+    slots = ((position.step, decision_slot(arena, position)) for position, _move in decisions)
+    addresses = list(dict.fromkeys((step, here[1]) for step, here in slots if here is not None))
+    return sum(_is_free_delay(position.role) for position, _move in decisions), addresses
 
 
 def enumerate_verify_addresses(arena: CompiledArena, machine: TwoCounterMachine) -> List[Tuple[int, str]]:
     """All (step, slot) verification addresses crossed by the faithful
     unverified playout, in order of first occurrence."""
-    slots = ((position.step, decision_slot(arena, position)) for position, _move in _faithful_decisions(arena, machine))
-    return list(dict.fromkeys((step, here[1]) for step, here in slots if here is not None))
-
-
-def count_free_delays(arena: CompiledArena, machine: TwoCounterMachine) -> int:
-    """Number of free-delay decisions along the faithful unverified playout."""
-    return sum(_is_free_delay(position.role) for position, _move in _faithful_decisions(arena, machine))
+    return _faithful_addresses(arena, machine)[1]
 
 
 def delay_ordinal_addresses(arena: CompiledArena, machine: TwoCounterMachine) -> List[Tuple[int, Tuple[int, str], Rational]]:

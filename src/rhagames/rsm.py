@@ -213,46 +213,61 @@ def rsm_step(model: RsmModel, config: RsmConfiguration, action: str) -> RsmConfi
 # ---------------------------------------------------------------------------
 
 
-def _check_start(model: RsmModel, start_node: str) -> None:
+def _start_component(model: RsmModel, start_node: str) -> RsmComponent:
     if start_node not in model._node_home:
         raise ModelError(f"unknown start node {start_node!r}")
+    return model.by_name[model._node_home[start_node]]
+
+
+SuccessorGraph = Dict[Location, Tuple[RsmComponent, Optional[List[Location]]]]
+
+
+def _successor_graph(model: RsmModel) -> SuccessorGraph:
+    """Every location with its component and the targets of its
+    component-local transitions, or None at call ports and exits, whose
+    moves the call/return discipline fixes.  Transitions out of a call
+    port, an exit or another component's location are ignored.  The
+    order is the solvers' sweep order: components callees first
+    (declaration order when the call graph has cycles), then ``str(loc)``."""
+    graph: SuccessorGraph = {}
+    for comp in model.components:
+        for loc in model.locations(comp):
+            fixed = loc.kind == "call" or (loc.kind == "node" and loc.name in comp.exits)
+            graph[loc] = (comp, None if fixed else [])
+    for comp in model.components:
+        for (src, _a), dst in comp.transitions.items():
+            home, succ = graph.get(src, (None, None))
+            if home is comp and succ is not None:
+                succ.append(dst)
+    rank = {name: i for i, name in enumerate(callee_first_order(model) or [c.name for c in model.components])}
+    return dict(sorted(graph.items(), key=lambda item: (rank[item[1][0].name], str(item[0]))))
 
 
 def _summaries(model: RsmModel, finals: FrozenSet[Location]):
     """For every location compute (a) whether a final location is
     reachable (in any context) and (b) the set of same-level exits
     reachable.  Least fixpoint over all components at once."""
-    hit: Dict[Location, bool] = {}
-    exits_reach: Dict[Location, Set[str]] = {}
-    home: Dict[Location, RsmComponent] = {}
-    for comp in model.components:
-        for loc in model.locations(comp):
-            home[loc] = comp
-            hit[loc] = loc in finals
-            exits_reach[loc] = set()
-            if loc.kind == "node" and loc.name in comp.exits:
-                exits_reach[loc].add(loc.name)
-
+    graph = _successor_graph(model)
+    hit = {loc: loc in finals for loc in graph}
+    exits_reach = {
+        loc: {loc.name} if loc.kind == "node" and succ is None else set() for loc, (_c, succ) in graph.items()
+    }
     changed = True
     while changed:
         changed = False
-        for loc, comp in home.items():
+        for loc, (_comp, succ) in graph.items():
             new_hit = hit[loc]
             new_exits = set(exits_reach[loc])
             if loc.kind == "call":
                 en = node(loc.name)
-                if hit[en]:
-                    new_hit = True
+                new_hit = new_hit or hit[en]
                 for ex in exits_reach[en]:
                     rp = ret(loc.box, ex)
                     new_hit = new_hit or hit[rp]
                     new_exits |= exits_reach[rp]
-            elif not (loc.kind == "node" and loc.name in comp.exits):
-                for (src, _a), dst in comp.transitions.items():
-                    if src != loc:
-                        continue
-                    new_hit = new_hit or hit[dst]
-                    new_exits |= exits_reach[dst]
+            for dst in succ or ():
+                new_hit = new_hit or hit[dst]
+                new_exits |= exits_reach[dst]
             if new_hit != hit[loc] or new_exits != exits_reach[loc]:
                 hit[loc], exits_reach[loc] = new_hit, new_exits
                 changed = True
@@ -262,14 +277,14 @@ def _summaries(model: RsmModel, finals: FrozenSet[Location]):
 def reachable(model: RsmModel, start_node: str, finals: Iterable[Location]) -> bool:
     """True iff some configuration with a final location is reachable
     from ``(<empty>, start_node)``."""
-    _check_start(model, start_node)
+    _start_component(model, start_node)
     hit, _ = _summaries(model, frozenset(finals))
     return hit[node(start_node)]
 
 
 def terminates(model: RsmModel, start_node: str) -> bool:
     """True iff an exit of the start component is reachable with empty context."""
-    _check_start(model, start_node)
+    _start_component(model, start_node)
     _, exits_reach = _summaries(model, frozenset())
     return bool(exits_reach[node(start_node)])
 
@@ -293,16 +308,7 @@ class SummaryTable:
 
 
 def _all_subsets(items: Tuple[str, ...]) -> List[FrozenSet[str]]:
-    subsets: List[FrozenSet[str]] = []
-    for mask in range(1 << len(items)):
-        subsets.append(frozenset(items[i] for i in range(len(items)) if mask >> i & 1))
-    return subsets
-
-
-def _check_partition(model: RsmModel, partition: GamePartition) -> None:
-    missing = [loc for loc in model.all_locations() if loc not in partition]
-    if missing:
-        raise ModelError(f"partition is not total; missing {[str(m) for m in missing]}")
+    return [frozenset(x for i, x in enumerate(items) if mask >> i & 1) for mask in range(1 << len(items))]
 
 
 def callee_first_order(model: RsmModel) -> Optional[List[str]]:
@@ -333,67 +339,48 @@ def callee_first_order(model: RsmModel) -> Optional[List[str]]:
 
 
 def _game_fixpoint(model: RsmModel, partition: GamePartition, finals: FrozenSet[Location]) -> SummaryTable:
-    home: Dict[Location, RsmComponent] = {}
-    allowances: Dict[str, List[FrozenSet[str]]] = {}
-    for comp in model.components:
-        allowances[comp.name] = _all_subsets(comp.exits)
-        for loc in model.locations(comp):
-            home[loc] = comp
-
+    graph = _successor_graph(model)
+    missing = [str(loc) for loc in graph if loc not in partition]
+    if missing:
+        raise ModelError(f"partition is not total; missing {missing}")
+    allowances = {comp.name: _all_subsets(comp.exits) for comp in model.components}
     wins: Dict[Tuple[Location, FrozenSet[str]], bool] = {
-        (loc, allowance): False for loc, comp in home.items() for allowance in allowances[comp.name]
+        (loc, allowance): False for loc, (comp, _s) in graph.items() for allowance in allowances[comp.name]
     }
 
-    # Sweep locations component by component (callees first on acyclic
-    # call graphs, so callee summaries stabilize before their callers read
-    # them; declaration order on recursion) until stable; the outer loop
-    # covers recursion, where no single evaluation order is exact.
-    sweep = callee_first_order(model)
-    if sweep is None:
-        sweep = [c.name for c in model.components]
-    rank = {name: i for i, name in enumerate(sweep)}
-    order = sorted(home.items(), key=lambda item: (rank[item[1].name], str(item[0])))
+    def won(loc: Location, succ: Optional[List[Location]], allowance: FrozenSet[str]) -> bool:
+        if loc in finals:
+            return True
+        if loc.kind == "call":
+            en, box = node(loc.name), loc.box
+            return any(
+                wins[(en, sub)] and all(wins[(ret(box, ex), allowance)] for ex in sub)
+                for sub in allowances[model.callee_of_box(box).name]
+            )
+        if succ is None:  # an exit
+            return loc.name in allowance
+        if not succ:
+            return False  # dead end: the reachability objective fails
+        pick = any if partition[loc] is Player.ACHILLES else all
+        return pick(wins[(dst, allowance)] for dst in succ)
+
+    # Sweep in graph order (callees first on acyclic call graphs, so
+    # callee summaries stabilize before their callers read them) until
+    # stable; the outer loop covers recursion, where no single evaluation
+    # order is exact.
     changed = True
     while changed:
         changed = False
-        for loc, comp in order:
+        for loc, (comp, succ) in graph.items():
             for allowance in allowances[comp.name]:
-                if wins[(loc, allowance)]:
-                    continue
-                value = _location_value(model, partition, finals, wins, allowances, comp, loc, allowance)
-                if value:
-                    wins[(loc, allowance)] = True
-                    changed = True
+                if not wins[(loc, allowance)] and won(loc, succ, allowance):
+                    wins[(loc, allowance)] = changed = True
 
     minimal: Dict[Location, List[FrozenSet[str]]] = {}
-    for loc, comp in home.items():
+    for loc, (comp, _s) in graph.items():
         winning = [E for E in allowances[comp.name] if wins[(loc, E)]]
         minimal[loc] = [E for E in winning if not any(F < E for F in winning)]
     return SummaryTable(wins, minimal)
-
-
-def _location_value(model, partition, finals, wins, allowances, comp, loc, allowance) -> bool:
-    if loc in finals:
-        return True
-    if loc.kind == "node" and loc.name in comp.exits:
-        return loc.name in allowance
-    if loc.kind == "call":
-        callee = model.callee_of_box(loc.box)
-        en = node(loc.name)
-        for sub in allowances[callee.name]:
-            if wins[(en, sub)] and all(wins[(ret(loc.box, ex), allowance)] for ex in sub):
-                return True
-        return False
-    successors = [
-        wins[(dst, allowance)]
-        for (src, _a), dst in comp.transitions.items()
-        if src == loc
-    ]
-    if not successors:
-        return False  # dead end: the reachability objective fails
-    if partition[loc] is Player.ACHILLES:
-        return any(successors)
-    return all(successors)
 
 
 def solve_reachability_game(
@@ -408,11 +395,9 @@ def solve_reachability_game(
     At the top level the allowance is empty: exiting the start component
     with empty context ends the run without reaching a final location.
     """
-    _check_start(model, start_node)
-    _check_partition(model, partition)
+    _start_component(model, start_node)
     table = _game_fixpoint(model, partition, frozenset(finals))
-    winner = Player.ACHILLES if table.wins[(node(start_node), frozenset())] else Player.TORTOISE
-    return winner, table
+    return (Player.ACHILLES if table.wins[(node(start_node), frozenset())] else Player.TORTOISE), table
 
 
 def solve_termination_game(
@@ -423,16 +408,9 @@ def solve_termination_game(
     """Decide the termination game: Achilles must reach an exit of the
     start component with empty context, so the top-level allowance is
     the full exit set and there are no final locations."""
-    _check_start(model, start_node)
-    _check_partition(model, partition)
+    top = frozenset(_start_component(model, start_node).exits)
     table = _game_fixpoint(model, partition, frozenset())
-    comp = model.by_name[model._node_home[start_node]]
-    winner = (
-        Player.ACHILLES
-        if table.wins[(node(start_node), frozenset(comp.exits))]
-        else Player.TORTOISE
-    )
-    return winner, table
+    return (Player.ACHILLES if table.wins[(node(start_node), top)] else Player.TORTOISE), table
 
 
 # ---------------------------------------------------------------------------

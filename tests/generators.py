@@ -4,13 +4,25 @@ import random
 from typing import Tuple
 
 from rhagames.games import Player
-from rhagames.rsm import GamePartition, RsmComponent, RsmModel, call, node
+from rhagames.rsm import GamePartition, RsmComponent, RsmModel, call, node, ret
 
 
 def random_hierarchical_game(seed: int) -> Tuple[RsmModel, GamePartition, str, frozenset]:
     """A random hierarchical game instance: up to 3 components of up to
     5 nodes and up to 2 exits each; boxes only call later components, so
     the configuration graph is finite and the unfolding oracle applies."""
+    return _random_game(seed, recursive=False)
+
+
+def random_recursive_game(seed: int) -> Tuple[RsmModel, GamePartition, str, frozenset]:
+    """A random recursive game instance of the same shape, except that
+    every component may have boxes and a box may call any component, its
+    own included, so contexts grow without bound and only the
+    depth-bounded sandwich oracle applies."""
+    return _random_game(seed, recursive=True)
+
+
+def _random_game(seed: int, recursive: bool) -> Tuple[RsmModel, GamePartition, str, frozenset]:
     rng = random.Random(seed)
     n_comps = rng.randint(1, 3)
     comps = []
@@ -22,9 +34,9 @@ def random_hierarchical_game(seed: int) -> Tuple[RsmModel, GamePartition, str, f
         n_entries = rng.randint(1, max(1, min(2, n_nodes - n_exits)))
         entries = tuple(nodes[:n_entries])
         boxes = {}
-        if i < n_comps - 1:
+        if recursive or i < n_comps - 1:
             for b in range(rng.randint(0, 2)):
-                boxes[f"c{i}b{b}"] = f"C{rng.randint(i + 1, n_comps - 1)}"
+                boxes[f"c{i}b{b}"] = f"C{rng.randint(0 if recursive else i + 1, n_comps - 1)}"
         comps.append(
             RsmComponent(name=f"C{i}", nodes=nodes, entries=entries, exits=exits, boxes=boxes)
         )
@@ -39,8 +51,6 @@ def random_hierarchical_game(seed: int) -> Tuple[RsmModel, GamePartition, str, f
         sources = [node(n) for n in comp.nodes if n not in comp.exits]
         for b, callee_name in comp.boxes.items():
             callee = model.by_name[callee_name]
-            from rhagames.rsm import ret
-
             sources.extend(ret(b, ex) for ex in callee.exits)
         for src in sources:
             for _ in range(rng.randint(0, 2)):

@@ -4,13 +4,17 @@ import json
 
 import pytest
 
+import rhagames.harness
 from fixtures import flat_game_arena_model
+from rhagames.arith import rat
 from rhagames.cli import main
+from rhagames.harness import DEFAULT_STEP_BOUND, DEFAULT_TIME_BOUND, playout
 from rhagames.rsm import model_to_json, node
 from rhagames.tcm import Halt, Inc, TwoCounterMachine, machine_to_json
 
 INC_HALT_TEXT = "L0: INC c1 GOTO L1\nL1: HALT\n"
 LOOP_TEXT = "L0: IFZ c1 THEN L0 ELSE L1\nL1: HALT\n"
+PUMP_LOOP_TEXT = "L0: INC c1 GOTO L1\nL1: IFZ c1 THEN L0 ELSE L0\nL2: HALT\n"
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +175,43 @@ def test_simulate_negative_step_bound_exits_2(tmp_path, capsys):
     assert "-5" in err
 
 
+def test_simulate_late_final_is_exhausted(tmp_path, capsys):
+    # the faithful run of INC c1; HALT reaches Main.HALT at 7/6
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "simulate", arena_path, machine_path, "--time-bound", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["outcome"] == "exhausted" and data["location"] is None
+    assert rat(data["elapsed"]) > 1 and data["steps"] < 33
+
+
+def test_simulate_negative_time_bound_exits_2(tmp_path, capsys):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "simulate", arena_path, machine_path, "--time-bound", "-1")
+    assert_one_line_error(code, err)
+    assert "time bound" in err
+
+
+def test_simulate_replays_the_faithful_run_once_within_the_step_bound(tmp_path, capsys, monkeypatch):
+    replays = []
+
+    def counted(arena, achilles, tortoise, step_bound=DEFAULT_STEP_BOUND, time_bound=DEFAULT_TIME_BOUND):
+        replays.append(step_bound)
+        return playout(arena, achilles, tortoise, step_bound, time_bound)
+
+    monkeypatch.setattr(rhagames.harness, "playout", counted)
+    arena_path, machine_path = _compiled(tmp_path, capsys, text=PUMP_LOOP_TEXT)
+    code, out, _ = run_cli(
+        capsys, "simulate", arena_path, machine_path,
+        "--deviate", "0:1/64", "--tortoise", "verify:0:div1", "--step-bound", "50",
+    )
+    assert code == 0 and json.loads(out)["steps"] <= 50
+    assert replays == [50]
+    replays.clear()
+    assert run_cli(capsys, "simulate", arena_path, machine_path, "--step-bound", "50")[0] == 0
+    assert replays == []
+
+
 def _first_flow(arena):
     return next(iter(next(c for c in arena["components"] if c.get("flows"))["flows"].values()))
 
@@ -244,6 +285,18 @@ def test_rsm_solve_malformed_game_field_exits_2(tmp_path, capsys, field, value):
     path = write(tmp_path, "game.json", json.dumps(data))
     code, _, err = run_cli(capsys, "rsm-solve", path)
     assert_one_line_error(code, err)
+
+
+def test_rsm_solve_unknown_locations_exit_2(tmp_path, capsys):
+    model, partition = flat_game_arena_model()
+    data = model_to_json(model, start="s0", partition=partition, finals=[node("goal")])
+    data["finals"] = ["node:gaol"]
+    data["partition"]["tortoise"].append("node:ghost")
+    path = write(tmp_path, "game.json", json.dumps(data))
+    for objective in ("reach", "terminate"):
+        code, _, err = run_cli(capsys, "rsm-solve", path, "--objective", objective)
+        assert_one_line_error(code, err)
+        assert "finals names node:gaol" in err and "partition names node:ghost" in err
 
 
 # -- check -------------------------------------------------------------------------

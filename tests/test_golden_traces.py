@@ -5,8 +5,11 @@
 trace records of faithful, verifying and deviating playouts on the
 halting corpus and of 1 000-move faithful playouts of the non-halting
 corpus, together with each verdict's outcome, step count and elapsed
-time.  A refactor of the compiler or the harness that keeps
-behaviour keeps every digest.  To re-record after an intended change:
+time.  Its ``solvers`` section pins the RSM solvers: per game instance,
+``reachable``, ``terminates``, both game winners and the digest of both
+summary tables.  A refactor of the compiler, the harness or the solvers
+that keeps behaviour keeps every digest.  To re-record after an
+intended change:
 
     PYTHONPATH=src:tests python tests/test_golden_traces.py > tests/golden_traces.json
 """
@@ -17,6 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from fixtures import three_component_rsm
+from generators import random_hierarchical_game
 from machines import halting_corpus, nonhalting_corpus
 from rhagames.arith import fmt
 from rhagames.compiler import arena_to_json, build_div, build_instruction, compile, host_arena
@@ -30,6 +35,8 @@ from rhagames.harness import (
     tortoise_verify_at,
     trace_records,
 )
+from rhagames.games import Player
+from rhagames.rsm import node, reachable, solve_reachability_game, solve_termination_game, terminates
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 TARGETS = ("rta3", "rsa4")
@@ -58,8 +65,33 @@ def _hosts():
             yield f"{kind}_{counter}/{target}", host_arena(bundle, {"x": 1, "y": 1}, target)
 
 
+def _table(table) -> list:
+    wins = sorted([str(loc), sorted(allowance), won] for (loc, allowance), won in table.wins.items())
+    minimal = sorted([str(loc), [sorted(e) for e in family]] for loc, family in table.minimal_allowances.items())
+    return [wins, minimal]
+
+
+def _games():
+    """The fixture machine from every node (nodes Achilles, ports
+    Tortoise, final ``u4``) and hierarchical games of seeds 0-59."""
+    model = three_component_rsm()
+    partition = {loc: Player.ACHILLES if loc.kind == "node" else Player.TORTOISE for loc in model.all_locations()}
+    for comp in model.components:
+        for start in comp.nodes:
+            yield f"fixture/{start}", (model, partition, start, frozenset([node("u4")]))
+    for seed in range(60):
+        yield f"hier{seed}", random_hierarchical_game(seed)
+
+
+def _solved(model, partition, start, finals) -> list:
+    w_reach, t_reach = solve_reachability_game(model, partition, start, finals)
+    w_term, t_term = solve_termination_game(model, partition, start)
+    tables = _sha([_table(t_reach), _table(t_term)])
+    return [reachable(model, start, finals), terminates(model, start), w_reach.value, w_term.value, tables]
+
+
 def digests() -> dict:
-    out = {"models": {}, "faithful": {}, "verify": {}, "deviate": {}, "hosts": {}, "loops": {}}
+    out = {"models": {}, "faithful": {}, "verify": {}, "deviate": {}, "hosts": {}, "loops": {}, "solvers": {}}
     for i, machine in enumerate(halting_corpus()):
         for target in TARGETS:
             key = f"{i}/{target}"
@@ -85,6 +117,8 @@ def digests() -> dict:
             out["loops"][f"loop{i}/{target}"] = _verdict(verdict)
     for key, arena in _hosts():
         out["hosts"][key] = _sha(arena_to_json(arena)[0])
+    for key, game in _games():
+        out["solvers"][key] = _solved(*game)
     return out
 
 

@@ -13,9 +13,9 @@ from rhagames.compiler import build_div, compile, host_arena
 from rhagames.errors import HarnessError
 from rhagames.games import Player
 from rhagames.harness import (
+    _faithful_addresses,
     check_encoding,
     check_time_ledger,
-    count_free_delays,
     delay_ordinal_addresses,
     deviated_achilles,
     enumerate_verify_addresses,
@@ -57,7 +57,7 @@ def test_faithful_first_divider_delay_is_half(target):
 def test_halt_only_arena_has_no_decisions():
     arena = compile(HALT_ONLY, "rta3")
     assert enumerate_verify_addresses(arena, HALT_ONLY) == []
-    assert count_free_delays(arena, HALT_ONLY) == 0
+    assert _faithful_addresses(arena, HALT_ONLY) == (0, [])
 
 
 def test_arena_machine_mismatch_is_harness_error():
@@ -306,6 +306,28 @@ def test_negative_step_bound_is_harness_error():
     arena = compile(INC_HALT, "rta3")
     with pytest.raises(HarnessError, match="nonnegative"):
         playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena), step_bound=-1)
+
+
+@pytest.mark.parametrize("target", ("rta3", "rsa4"))
+def test_playout_stops_as_soon_as_the_time_bound_is_exceeded(target):
+    arena = compile(INC_HALT, target)
+    full = playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena), time_bound=None)
+    assert full.outcome == "final"
+    for bound in (Fraction(0), Fraction(1, 3), Fraction(1), full.elapsed - Fraction(1, 1000), full.elapsed):
+        verdict = playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena), time_bound=bound)
+        if bound >= full.elapsed:
+            assert (verdict.outcome, verdict.steps) == ("final", full.steps)
+            continue
+        spent = [sum((m.delay for m in full.trace.moves[:k]), Fraction(0)) for k in range(full.steps + 1)]
+        late = next(k for k, t in enumerate(spent) if t > bound)
+        assert (verdict.outcome, verdict.steps, verdict.elapsed) == ("exhausted", late, spent[late]), bound
+        assert verdict.trace.moves == full.trace.moves[:late]
+
+
+def test_negative_time_bound_is_harness_error():
+    arena = compile(INC_HALT, "rta3")
+    with pytest.raises(HarnessError, match="nonnegative"):
+        playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena), time_bound=Fraction(-1))
 
 
 # -- checkers ---------------------------------------------------------------------

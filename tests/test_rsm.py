@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixtures import flat_game_arena_model, three_component_rsm
-from generators import random_hierarchical_game
+from generators import random_hierarchical_game, random_recursive_game
 from oracles import (
     bfs_reachable,
     bfs_terminates,
     oracle_reachability_winner,
     oracle_termination_winner,
+    sandwich_reachability,
+    sandwich_termination,
 )
 from rhagames.errors import ModelError
 from rhagames.games import FiniteArena, Player, attractor
@@ -21,6 +23,7 @@ from rhagames.rsm import (
     RsmConfiguration,
     RsmModel,
     call,
+    callee_first_order,
     model_from_json,
     model_to_json,
     node,
@@ -252,6 +255,27 @@ def test_solver_agrees_with_oracle_on_seeded_instances():
         w_term, _ = solve_termination_game(model, partition, start)
         assert w_reach == oracle_reachability_winner(model, partition, start, finals), seed
         assert w_term == oracle_termination_winner(model, partition, start), seed
+
+
+def test_solvers_lie_between_depth_bounded_unfoldings_of_recursive_games():
+    depth, exact, recursive = 4, 0, 0
+    for seed in range(200):
+        model, partition, start, finals = random_recursive_game(seed)
+        recursive += callee_first_order(model) is None
+        everyone = {loc: ACH for loc in partition}
+        checks = [
+            (solve_reachability_game(model, partition, start, finals)[0] is ACH,
+             sandwich_reachability(model, partition, start, finals, depth)),
+            (solve_termination_game(model, partition, start)[0] is ACH,
+             sandwich_termination(model, partition, start, depth)),
+            (reachable(model, start, finals), sandwich_reachability(model, everyone, start, finals, depth)),
+            (terminates(model, start), sandwich_termination(model, everyone, start, depth)),
+        ]
+        for query, (solved, (lower, upper)) in enumerate(checks):
+            assert lower <= solved <= upper, (seed, query)
+            exact += lower == upper
+    # the bracket must decide most answers and the machines must recurse
+    assert exact >= 600 and recursive >= 100, (exact, recursive)
 
 
 def test_winning_allowances_are_upward_closed():
