@@ -26,9 +26,6 @@ class Player(Enum):
     ACHILLES = "Achilles"
     TORTOISE = "Tortoise"
 
-    def opponent(self) -> "Player":
-        return Player.TORTOISE if self is Player.ACHILLES else Player.ACHILLES
-
 
 @dataclass(frozen=True)
 class Run:

@@ -50,11 +50,10 @@ from .rha import (
     available_moves,
     config_key,
     initial_rha_config,
-    is_exit,
     run_duration,
     timed_step,
 )
-from .rsm import Location, call
+from .rsm import CALL_ACTION, RET_ACTION, Location, call
 from .tcm import TwoCounterMachine, ZeroCheck, tcm_run
 
 DEFAULT_STEP_BOUND = 10_000
@@ -70,9 +69,6 @@ class Verdict:
     location: Optional[Location] = None
     elapsed: Rational = Fraction(0)
     steps: int = 0
-
-    def reached_final(self) -> bool:
-        return self.outcome == "final"
 
 
 @dataclass(frozen=True)
@@ -407,14 +403,9 @@ def playout(
         if not moves:
             outcome = "stuck"
             break
-        if loc.kind == "call" or is_exit(model, loc):
+        if moves[0][0] in (CALL_ACTION, RET_ACTION):
             move = TimedAction(Fraction(0), moves[0][0])
-            try:
-                nxt = timed_step(model, config, move)
-            except MoveError:
-                # push/pop rejected by the target invariant: no legal move
-                outcome = "stuck"
-                break
+            nxt = timed_step(model, config, move)
         else:
             role = role_at(arena, config)
             position = Position(config, role, moves, max(0, anchors_hit - 1), delays, verified)
@@ -528,10 +519,7 @@ def reachable_final_bounded(arena: CompiledArena, config: RhaConfiguration, dept
             continue
         for action, intervals in available_moves(arena.model, current):
             for delay in _candidate_delays(intervals):
-                try:
-                    nxt = timed_step(arena.model, current, TimedAction(delay, action))
-                except MoveError:
-                    continue
+                nxt = timed_step(arena.model, current, TimedAction(delay, action))
                 key = config_key(nxt)
                 if key not in visited:
                     visited.add(key)

@@ -7,10 +7,18 @@ location, so over a delay every variable moves linearly; a rectangular
 at both endpoints, and the set of delays enabling a guard is a single
 rational interval.
 
+A timed move is the RSM step of ``rhagames.rsm`` (``move_target``
+decides where an action leads and whether it pushes or pops) plus time.
 Call ports and exit nodes take their push/pop move with delay 0, under
 the distinguished pseudo actions ``CALL_ACTION`` / ``RET_ACTION``.  On
 pop, variables passed by value at the box are restored from the stack
 frame; all others keep the callee's final value (pass-by-reference).
+
+Every move must leave the target location's invariant satisfied: after
+the reset on a local transition, at the callee entry on a push and at
+the return port on a pop.  ``enabled_delays`` and ``available_moves``
+offer exactly the delays ``timed_step`` accepts, so a push or pop whose
+target invariant fails is not offered at all.
 """
 
 from dataclasses import dataclass, field
@@ -21,18 +29,21 @@ from .errors import ModelError, MoveError, ParseError
 from .games import Player
 from .rsm import (
     CALL_ACTION,
+    LOCAL,
+    PUSH,
     RET_ACTION,
     Location,
     RsmComponent,
     RsmModel,
+    available_actions,
     callee_first_order,
     component_from_json,
     component_to_json,
     game_from_json,
     game_to_json,
+    move_target,
     node,
     parse_location,
-    ret,
     validate,
 )
 
@@ -100,9 +111,6 @@ class Interval:
             return False
         return not (self.lo == self.hi and self.lo_closed and self.hi_closed)
 
-    def is_point(self) -> bool:
-        return self.hi is not None and self.lo == self.hi and self.lo_closed and self.hi_closed
-
     def contains(self, t: Rational) -> bool:
         if t < self.lo or (t == self.lo and not self.lo_closed):
             return False
@@ -127,32 +135,32 @@ def _intersect(a: Interval, b: Interval) -> Interval:
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
-def _atom_delay_interval(atom: Atom, value: Rational, rate: Rational) -> Optional[Interval]:
-    """Delays t >= 0 with ``value + rate*t <rel> bound``; None when empty."""
-    nonneg = Interval(Rational(0), None)
-    if rate == 0:
-        return nonneg if atom.holds(value) else None
-    crossing = (Rational(atom.bound) - value) / rate
-    # rate > 0: the variable grows through the bound (all gadget flows are >= 0)
-    if atom.rel in ("<", "<="):
-        ivl = Interval(Rational(0), crossing, True, atom.rel == "<=")
-    elif atom.rel == "=":
-        ivl = Interval(crossing, crossing)
-    else:
-        ivl = Interval(crossing, None, atom.rel == ">=", True)
-    out = _intersect(ivl, nonneg)
-    return None if out.is_empty() else out
+ZERO = Rational(0)
+NONNEGATIVE = Interval(ZERO, None)
+ZERO_DELAY = Interval(ZERO, ZERO)
 
 
-def constraint_delays(constraint: RectConstraint, valuation: Valuation, flow: Mapping[str, Rational]) -> Optional[Interval]:
-    """The interval of delays after which the constraint holds; None when empty."""
+def _narrow(current: Interval, constraint: RectConstraint, valuation: Valuation, flow: Mapping[str, Rational],
+            cleared: FrozenSet[str] = frozenset()) -> Optional[Interval]:
+    """The delays t in ``current`` (nonnegative) after which the
+    constraint holds, the ``cleared`` variables being reset to 0 at t;
+    None when empty.  A variable moves as ``value + rate*t``."""
     if constraint.unsat:
         return None
-    current = Interval(Rational(0), None)
     for atom in constraint.atoms:
-        piece = _atom_delay_interval(atom, valuation[atom.var], flow[atom.var])
-        if piece is None:
+        value, rate = valuation[atom.var], flow[atom.var]
+        if atom.var in cleared or rate == 0:  # constant over the delay
+            if atom.holds(ZERO if atom.var in cleared else value):
+                continue
             return None
+        crossing = (Rational(atom.bound) - value) / rate
+        # rate > 0: the variable grows through the bound (all gadget flows are >= 0)
+        if atom.rel in ("<", "<="):
+            piece = Interval(ZERO, crossing, True, atom.rel == "<=")
+        elif atom.rel == "=":
+            piece = Interval(crossing, crossing)
+        else:
+            piece = Interval(crossing, None, atom.rel == ">=", True)
         current = _intersect(current, piece)
         if current.is_empty():
             return None
@@ -299,14 +307,6 @@ class RhaConfiguration:
         return len(self.context)
 
 
-def _freeze(model: RhaModel, valuation: Valuation) -> Tuple[Rational, ...]:
-    return tuple(valuation[x] for x in model.variables)
-
-
-def _thaw(model: RhaModel, frozen: Tuple[Rational, ...]) -> Valuation:
-    return {x: v for x, v in zip(model.variables, frozen)}
-
-
 def config_key(config: RhaConfiguration):
     """A hashable key for visited-set bookkeeping in searches."""
     return (config.context, config.location, tuple(sorted(config.valuation.items())))
@@ -320,53 +320,56 @@ def initial_rha_config(model: RhaModel, start_node: str, valuation: Valuation) -
     return RhaConfiguration((), loc, dict(valuation))
 
 
-def is_exit(model: RhaModel, loc: Location) -> bool:
-    return loc.kind == "node" and loc.name in model.component_of_location(loc).exits
+def _frame_move(model: RhaModel, config: RhaConfiguration, effect: int):
+    """The context and valuation after a push (``effect`` PUSH) or pop
+    (POP) at ``config``: a push saves the valuation in a new frame, a pop
+    restores the box's by-value variables from the innermost frame."""
+    if effect == PUSH:
+        frame = (config.location.box, tuple(config.valuation[x] for x in model.variables))
+        return config.context + (frame,), dict(config.valuation)
+    box, saved = config.context[-1]
+    return config.context[:-1], restore(config.valuation, model.pass_set(box), dict(zip(model.variables, saved)))
+
+
+def _move_target(model: RhaModel, config: RhaConfiguration, action: str, error: type = ModelError):
+    """The RSM step of ``action`` at ``config``: (target, stack effect)."""
+    return move_target(model, config.location, action, config.context[-1][0] if config.context else None, error)
 
 
 def enabled_delays(model: RhaModel, config: RhaConfiguration, action: str) -> List[Interval]:
     """The set of delays t after which ``action`` can fire: the invariant
     must hold along [0, t] (endpoints suffice: constant flows, convex
-    invariant) and the guard at t.  Push/pop moves admit exactly delay 0."""
-    loc = config.location
-    if loc.kind == "call":
-        if action != CALL_ACTION:
-            return []
-        return [Interval(Rational(0), Rational(0))]
-    if is_exit(model, loc):
-        if action != RET_ACTION or not config.context:
-            return []
-        return [Interval(Rational(0), Rational(0))]
+    invariant), the guard at t, and the target's invariant after the
+    move.  On a local move reset variables are 0 and the others have
+    moved at the source flow, so the set stays one interval.  Push/pop
+    moves admit exactly delay 0, and only when the target invariant holds
+    for the pushed or restored valuation."""
+    try:
+        target, effect = _move_target(model, config, action)
+    except ModelError:
+        return []
+    target_inv = model.component_of_location(target).invariant(target)
+    if effect != LOCAL:
+        return [ZERO_DELAY] if target_inv.holds(_frame_move(model, config, effect)[1]) else []
+    loc, valuation = config.location, config.valuation
     comp = model.component_of_location(loc)
-    if (loc, action) not in comp.transitions:
-        return []
     flow = model.flow_at(loc)
-    inv = constraint_delays(comp.invariant(loc), config.valuation, flow)
-    # The invariant must hold along the whole prefix [0, t].  Its
-    # satisfaction set is one interval (convexity), so this is membership
-    # of t provided the interval starts at 0; a legal configuration
-    # always satisfies its invariant at delay 0.
-    if inv is None or not inv.contains(Rational(0)):
+    inv = _narrow(NONNEGATIVE, comp.invariant(loc), valuation, flow)
+    # By convexity the invariant holds along [0, t] iff t is in its
+    # interval and that interval starts at 0.
+    if inv is None or not inv.contains(ZERO):
         return []
-    guard = constraint_delays(comp.guard(loc, action), config.valuation, flow)
-    if guard is None:
-        return []
-    joint = _intersect(inv, guard)
-    return [] if joint.is_empty() else [joint]
+    joint = _narrow(inv, comp.guard(loc, action), valuation, flow)
+    if joint is not None:
+        joint = _narrow(joint, target_inv, valuation, flow, comp.reset_set(loc, action))
+    return [] if joint is None else [joint]
 
 
 def available_moves(model: RhaModel, config: RhaConfiguration) -> List[Tuple[str, List[Interval]]]:
-    """Actions with nonempty delay sets at a configuration, in definition order."""
-    loc = config.location
-    if loc.kind == "call":
-        return [(CALL_ACTION, enabled_delays(model, config, CALL_ACTION))]
-    if is_exit(model, loc):
-        if not config.context:
-            return []
-        return [(RET_ACTION, enabled_delays(model, config, RET_ACTION))]
-    comp = model.component_of_location(loc)
+    """The RSM's available actions with nonempty delay sets at a
+    configuration, in definition order."""
     out = []
-    for action in comp.actions_at(loc):
+    for action in available_actions(model, config):
         delays = enabled_delays(model, config, action)
         if delays:
             out.append((action, delays))
@@ -374,62 +377,37 @@ def available_moves(model: RhaModel, config: RhaConfiguration) -> List[Tuple[str
 
 
 def timed_step(model: RhaModel, config: RhaConfiguration, move: TimedAction) -> RhaConfiguration:
-    """Apply one timed move.  Raises ``MoveError`` when the move is not
-    legal: nonzero delay on push/pop, invariant violated along the delay,
-    guard unsatisfied at the chosen delay, or pop at empty context."""
+    """Apply one timed move: the RSM step of its action plus its delay.
+    Raises ``MoveError`` when the move is not legal: action not available
+    (pop at empty context included), nonzero delay on push/pop, invariant
+    violated along the delay, guard unsatisfied at the chosen delay, or
+    the target's invariant rejecting the valuation after the move."""
     loc = config.location
     valuation = config.valuation
     if move.delay < 0:
         raise MoveError(f"negative delay {move.delay} at {loc}")
-
-    if loc.kind == "call":
-        if move.action != CALL_ACTION:
-            raise MoveError(f"only {CALL_ACTION!r} is available at call port {loc}")
+    target, effect = _move_target(model, config, move.action, MoveError)
+    if effect != LOCAL:
         if move.delay != 0:
-            raise MoveError(f"call at {loc} must take zero time")
-        callee = model.callee_of_box(loc.box)
-        target = node(loc.name)
-        if not callee.invariant(target).holds(valuation):
-            raise MoveError(f"invariant at callee entry {target} rejects the valuation")
-        frame = (loc.box, _freeze(model, valuation))
-        return RhaConfiguration(config.context + (frame,), target, dict(valuation))
-
-    if is_exit(model, loc):
-        if not config.context:
-            raise MoveError(f"exit {loc.name} with empty context is terminal")
-        if move.action != RET_ACTION:
-            raise MoveError(f"only {RET_ACTION!r} is available at exit {loc.name}")
-        if move.delay != 0:
-            raise MoveError(f"return at {loc} must take zero time")
-        box, saved = config.context[-1]
-        target = ret(box, loc.name)
-        restored = restore(valuation, model.pass_set(box), _thaw(model, saved))
-        caller = model.component_of_location(target)
-        if not caller.invariant(target).holds(restored):
-            raise MoveError(f"invariant at return port {target} rejects the valuation")
-        return RhaConfiguration(config.context[:-1], target, restored)
-
-    comp = model.component_of_location(loc)
-    if (loc, move.action) not in comp.transitions:
-        raise MoveError(f"no transition for action {move.action!r} at {loc}")
-    flow = model.flow_at(loc)
-    after = advance(valuation, flow, move.delay)
-    inv = comp.invariant(loc)
-    if not (inv.holds(valuation) and inv.holds(after)):
-        culprit = next(
-            (a for a in inv.atoms if not (a.holds(valuation[a.var]) and a.holds(after[a.var]))),
-            None,
-        )
-        bound = f" (first violated bound: {culprit.var} {culprit.rel} {culprit.bound})" if culprit else ""
-        raise MoveError(f"delay {move.delay} violates the invariant at {loc}{bound}")
-    if not comp.guard(loc, move.action).holds(after):
-        raise MoveError(f"guard of {move.action!r} unsatisfied after delay {move.delay} at {loc}")
-    resulting = reset(after, comp.reset_set(loc, move.action))
-    target = comp.transitions[(loc, move.action)]
-    target_comp = model.component_of_location(target)
-    if not target_comp.invariant(target).holds(resulting):
+            raise MoveError(f"{'call' if effect == PUSH else 'return'} at {loc} must take zero time")
+        context, resulting = _frame_move(model, config, effect)
+    else:
+        comp = model.component_of_location(loc)
+        after = advance(valuation, model.flow_at(loc), move.delay)
+        inv = comp.invariant(loc)
+        if not (inv.holds(valuation) and inv.holds(after)):
+            culprit = next(
+                (a for a in inv.atoms if not (a.holds(valuation[a.var]) and a.holds(after[a.var]))),
+                None,
+            )
+            bound = f" (first violated bound: {culprit.var} {culprit.rel} {culprit.bound})" if culprit else ""
+            raise MoveError(f"delay {move.delay} violates the invariant at {loc}{bound}")
+        if not comp.guard(loc, move.action).holds(after):
+            raise MoveError(f"guard of {move.action!r} unsatisfied after delay {move.delay} at {loc}")
+        context, resulting = config.context, reset(after, comp.reset_set(loc, move.action))
+    if not model.component_of_location(target).invariant(target).holds(resulting):
         raise MoveError(f"invariant at {target} rejects the post-move valuation")
-    return RhaConfiguration(config.context, target, resulting)
+    return RhaConfiguration(context, target, resulting)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,8 @@ def validate(model: RsmModel) -> List[str]:
                 errors.append(f"{comp.name}: call port {src} has an outgoing transition")
             if src.kind == "node" and src.name in comp.exits:
                 errors.append(f"{comp.name}: exit node {src.name} has an outgoing transition")
+            if action in (CALL_ACTION, RET_ACTION):
+                errors.append(f"{comp.name}: transition at {src} is labelled with the pseudo action {action!r}")
             for loc in (src, dst):
                 if valid_locs is not None and loc not in valid_locs:
                     errors.append(f"{comp.name}: transition uses unknown location {loc}")
@@ -172,40 +174,65 @@ def initial_config(start_node: str) -> RsmConfiguration:
     return RsmConfiguration((), node(start_node))
 
 
+def is_exit(comp: RsmComponent, loc: Location) -> bool:
+    """Is ``loc`` an exit node of its component ``comp``?"""
+    return loc.kind == "node" and loc.name in comp.exits
+
+
 def available_actions(model: RsmModel, config: RsmConfiguration) -> Tuple[str, ...]:
-    """Actions available at a configuration, pseudo actions included."""
+    """Actions available at a configuration, pseudo actions included.
+    Only the location and whether the context is empty matter, so a
+    timed configuration is read the same way."""
     loc = config.location
     if loc.kind == "call":
         return (CALL_ACTION,)
     comp = model.component_of_location(loc)
-    if loc.kind == "node" and loc.name in comp.exits:
+    if is_exit(comp, loc):
         return (RET_ACTION,) if config.context else ()
     return comp.actions_at(loc)
+
+
+PUSH, LOCAL, POP = 1, 0, -1  # the stack effect of a move
+
+
+def move_target(
+    model: RsmModel, loc: Location, action: str, top: Optional[str], error: type = ModelError
+) -> Tuple[Location, int]:
+    """Where ``action`` leads from ``loc`` when ``top`` is the innermost
+    pending box (None at empty context): the target location and the
+    stack effect, ``PUSH`` (of ``loc.box``), ``POP`` (of ``top``) or
+    ``LOCAL``.  Raises ``error`` when the action is not available; an exit
+    with empty context is terminal."""
+    if loc.kind == "call":
+        if action != CALL_ACTION:
+            raise error(f"only {CALL_ACTION!r} is available at call port {loc}")
+        callee = model.callee_of_box(loc.box)
+        if loc.name not in callee.entries:
+            raise error(f"{loc} does not name an entry of {callee.name}")
+        return node(loc.name), PUSH
+    comp = model.component_of_location(loc)
+    if is_exit(comp, loc):
+        if top is None:
+            raise error(f"exit {loc.name} with empty context is terminal")
+        if action != RET_ACTION:
+            raise error(f"only {RET_ACTION!r} is available at exit {loc.name}")
+        return ret(top, loc.name), POP
+    dst = comp.transitions.get((loc, action))
+    if dst is None:
+        raise error(f"no transition for action {action!r} at {loc}")
+    return dst, LOCAL
 
 
 def rsm_step(model: RsmModel, config: RsmConfiguration, action: str) -> RsmConfiguration:
     """The unique successor under ``action``; raises ``ModelError`` when
     the action is not available (exit with empty context is terminal)."""
-    loc = config.location
-    if loc.kind == "call":
-        if action != CALL_ACTION:
-            raise ModelError(f"only {CALL_ACTION!r} is available at call port {loc}")
-        callee = model.callee_of_box(loc.box)
-        if loc.name not in callee.entries:
-            raise ModelError(f"{loc} does not name an entry of {callee.name}")
-        return RsmConfiguration(config.context + (loc.box,), node(loc.name))
-    comp = model.component_of_location(loc)
-    if loc.kind == "node" and loc.name in comp.exits:
-        if not config.context:
-            raise ModelError(f"exit {loc.name} with empty context is terminal")
-        if action != RET_ACTION:
-            raise ModelError(f"only {RET_ACTION!r} is available at exit {loc.name}")
-        box = config.context[-1]
-        return RsmConfiguration(config.context[:-1], ret(box, loc.name))
-    dst = comp.transitions.get((loc, action))
-    if dst is None:
-        raise ModelError(f"no transition for action {action!r} at {loc}")
-    return RsmConfiguration(config.context, dst)
+    context = config.context
+    target, effect = move_target(model, config.location, action, context[-1] if context else None)
+    if effect == PUSH:
+        context = context + (config.location.box,)
+    elif effect == POP:
+        context = context[:-1]
+    return RsmConfiguration(context, target)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +259,7 @@ def _successor_graph(model: RsmModel) -> SuccessorGraph:
     graph: SuccessorGraph = {}
     for comp in model.components:
         for loc in model.locations(comp):
-            fixed = loc.kind == "call" or (loc.kind == "node" and loc.name in comp.exits)
-            graph[loc] = (comp, None if fixed else [])
+            graph[loc] = (comp, None if loc.kind == "call" or is_exit(comp, loc) else [])
     for comp in model.components:
         for (src, _a), dst in comp.transitions.items():
             home, succ = graph.get(src, (None, None))
@@ -243,11 +269,18 @@ def _successor_graph(model: RsmModel) -> SuccessorGraph:
     return dict(sorted(graph.items(), key=lambda item: (rank[item[1][0].name], str(item[0]))))
 
 
+def _check_known(graph: SuccessorGraph, locs: Iterable[Location], what: str) -> None:
+    unknown = sorted(str(loc) for loc in locs if loc not in graph)
+    if unknown:
+        raise ModelError(f"{what} names locations the model lacks: {unknown}")
+
+
 def _summaries(model: RsmModel, finals: FrozenSet[Location]):
     """For every location compute (a) whether a final location is
     reachable (in any context) and (b) the set of same-level exits
     reachable.  Least fixpoint over all components at once."""
     graph = _successor_graph(model)
+    _check_known(graph, finals, "finals")
     hit = {loc: loc in finals for loc in graph}
     exits_reach = {
         loc: {loc.name} if loc.kind == "node" and succ is None else set() for loc, (_c, succ) in graph.items()
@@ -340,6 +373,8 @@ def callee_first_order(model: RsmModel) -> Optional[List[str]]:
 
 def _game_fixpoint(model: RsmModel, partition: GamePartition, finals: FrozenSet[Location]) -> SummaryTable:
     graph = _successor_graph(model)
+    _check_known(graph, finals, "finals")
+    _check_known(graph, partition, "partition")
     missing = [str(loc) for loc in graph if loc not in partition]
     if missing:
         raise ModelError(f"partition is not total; missing {missing}")

@@ -1,9 +1,14 @@
-"""Seeded random instance generators for oracle-equivalence testing."""
+"""Seeded random instance generators for oracle-equivalence testing,
+and Hypothesis strategies for random model documents."""
 
 import random
 from typing import Tuple
 
+from hypothesis import strategies as st
+
+from rhagames.arith import fmt
 from rhagames.games import Player
+from rhagames.rha import RELATIONS
 from rhagames.rsm import GamePartition, RsmComponent, RsmModel, call, node, ret
 
 
@@ -64,3 +69,74 @@ def _random_game(seed: int, recursive: bool) -> Tuple[RsmModel, GamePartition, s
     all_locs = model.all_locations()
     finals = frozenset(rng.sample(all_locs, k=min(len(all_locs), rng.randint(1, 2))))
     return model, partition, start, finals
+
+
+@st.composite
+def rha_documents(draw, playable: bool = False):
+    """A canonical RHA model document: rerunning the codec must give it
+    back unchanged.  One label sits on two transitions with different
+    resets; guards and invariants may be "false"; flows are rational.
+
+    A ``playable`` document validates: it draws transitions only out of
+    locations that may have them (no call port, no exit).  So that runs
+    push and pop often, each of its components has a box, transitions
+    lead into the exit three times as often as elsewhere, and
+    constraints are more often satisfiable."""
+    variables = draw(st.lists(st.sampled_from(("x", "y", "z", "u")), min_size=1, unique=True))
+    subsets = st.lists(st.sampled_from(variables), unique=True).map(sorted)
+    atom = st.fixed_dictionaries(
+        {"var": st.sampled_from(variables), "rel": st.sampled_from(RELATIONS), "bound": st.integers(0, 5)}
+    )
+    constraint = st.one_of(st.just("false"), st.lists(atom, max_size=2))
+    if playable:
+        constraint = st.one_of(constraint, *[st.lists(atom, max_size=1)] * 3)
+    rate = st.fractions(min_value=0, max_value=3, max_denominator=6).map(fmt)
+    nodes = [[f"c{i}n{j}" for j in range(draw(st.integers(2, 4)))] for i in range(draw(st.integers(1, 3)))]
+    components, locations = [], []
+    for i, own in enumerate(nodes):
+        boxes = [
+            {"name": f"c{i}b{k}", "callee": f"C{callee}", "passByValue": draw(subsets)}
+            for k, callee in enumerate(draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1 if playable else 0, max_size=2)))
+        ]
+        locs = [f"node:{n}" for n in own]
+        for box in boxes:
+            callee_nodes = nodes[int(box["callee"][1:])]
+            locs += [f"call:{box['name']}:{callee_nodes[0]}", f"ret:{box['name']}:{callee_nodes[-1]}"]
+        sources, targets = locs, locs
+        if playable:
+            sources = [loc for loc in locs if not loc.startswith("call:") and loc != f"node:{own[-1]}"]
+            targets = locs + [f"node:{own[-1]}"] * 2  # the exit three times
+        first_resets = draw(subsets)
+        second = sources[min(1, len(sources) - 1)]
+        shared = [(sources[0], first_resets), (second, draw(subsets.filter(lambda r: r != first_resets)))]
+        others = [(src, draw(subsets)) for src in draw(st.lists(st.sampled_from(sources), max_size=6 if playable else 3))]
+        transitions = [
+            {"from": src, "action": action, "to": draw(st.sampled_from(targets)),
+             "guard": draw(constraint), "resets": resets}
+            for action, (src, resets) in [("go", t) for t in shared] + [(f"a{k}", t) for k, t in enumerate(others)]
+        ]
+        components.append({
+            "name": f"C{i}",
+            "nodes": own,
+            "entries": own[:1],
+            "exits": own[-1:],
+            "boxes": boxes,
+            "transitions": transitions,
+            "invariants": {loc: draw(constraint) for loc in draw(st.lists(st.sampled_from(locs), unique=True))},
+            "flows": {
+                loc: {x: draw(rate) for x in variables}
+                for loc in draw(st.lists(st.sampled_from(locs), unique=True))
+            },
+        })
+        locations += locs
+    achilles = draw(st.lists(st.sampled_from(locations), unique=True))
+    return {
+        "variables": variables,
+        "components": components,
+        "start": nodes[0][0],
+        "partition": {
+            "achilles": sorted(achilles),
+            "tortoise": sorted(loc for loc in locations if loc not in achilles),
+        },
+        "finals": sorted(draw(st.lists(st.sampled_from(locations), unique=True))),
+    }

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rhagames.harness
 from machines import halting_corpus, nonhalting_corpus
-from rhagames.compiler import build_div, compile, host_arena
+from rhagames.compiler import CompiledArena, build_div, compile, host_arena
 from rhagames.errors import HarnessError
 from rhagames.games import Player
 from rhagames.harness import (
@@ -29,13 +29,34 @@ from rhagames.harness import (
     tortoise_verify_at,
     trace_records,
 )
-from rhagames.rha import TimedRun, available_moves, run_duration
-from rhagames.rsm import node
+from rhagames.rha import RhaComponent, RhaModel, TimedAction, TimedRun, available_moves, conj, run_duration
+from rhagames.rsm import call, node
 from rhagames.tcm import Dec, Halt, Inc, TwoCounterMachine, ZeroCheck
 
 INC_HALT = TwoCounterMachine((Inc("c1", 1), Halt()))
 HALT_ONLY = TwoCounterMachine((Halt(),))
 SELF_LOOP = TwoCounterMachine((ZeroCheck("c1", 1, 0), Halt()))
+
+
+# -- playout ---------------------------------------------------------------------
+
+
+def test_push_into_a_callee_whose_entry_invariant_fails_is_stuck():
+    host = RhaComponent("H", ("s",), ("s",), (), {"b": "W"})
+    host.transitions = {(node("s"), "go"): call("b", "we")}
+    worker = RhaComponent("W", ("we", "wx"), ("we",), ("wx",), {})
+    worker.invariants = {node("we"): conj(("x", "<", 1))}
+    arena = CompiledArena(
+        RhaModel(("x",), [host, worker]), {}, frozenset({node("wx")}), node("s"), {"x": Fraction(0)}, "rta3"
+    )
+
+    def wait_one(position):
+        return TimedAction(Fraction(1), position.moves[0][0])
+
+    verdict = playout(arena, wait_one, wait_one)
+    assert verdict.outcome == "stuck" and verdict.steps == 1
+    assert verdict.trace.last().location == call("b", "we")
+    assert available_moves(arena.model, verdict.trace.last()) == []
 
 
 # -- faithful Achilles ----------------------------------------------------------

@@ -1,19 +1,21 @@
 """Hybrid automata: classification, timed steps, delays, durations."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import one_clock_rta
-from rhagames.arith import fmt, make_valuation
+from generators import rha_documents
+from rhagames.arith import make_valuation
 from rhagames.errors import MoveError
 from rhagames.rha import (
     CALL_ACTION,
-    RELATIONS,
     RET_ACTION,
+    Interval,
     RhaComponent,
     RhaConfiguration,
     RhaModel,
@@ -21,8 +23,10 @@ from rhagames.rha import (
     TimedRun,
     available_moves,
     classify,
+    config_key,
     conj,
     enabled_delays,
+    initial_rha_config,
     is_glitch_free,
     is_hierarchical,
     rha_model_from_json,
@@ -31,7 +35,7 @@ from rhagames.rha import (
     timed_step,
     validate_rha,
 )
-from rhagames.rsm import call, node, ret
+from rhagames.rsm import available_actions, call, node, ret
 
 
 def two_var_model(flows=None, pass_sets=None, invariants=None, guards=None, resets=None):
@@ -206,7 +210,7 @@ def test_enabled_delays_point_guard():
     model = two_var_model(guards={("W", "wm", "w_out"): conj(("x", "=", 1))})
     config = RhaConfiguration((), node("wm"), make_valuation(("x", "y"), {}))
     [ivl] = enabled_delays(model, config, "w_out")
-    assert ivl.is_point() and ivl.lo == Fraction(1)
+    assert (ivl.lo, ivl.hi, ivl.lo_closed, ivl.hi_closed) == (Fraction(1), Fraction(1), True, True)
 
 
 def test_enabled_delays_stopped_variable_empty():
@@ -218,27 +222,139 @@ def test_enabled_delays_stopped_variable_empty():
     assert enabled_delays(model, config, "w_out") == []
 
 
+def accepts(model, config, action, delay) -> bool:
+    """Does ``timed_step`` take the move?"""
+    try:
+        timed_step(model, config, TimedAction(delay, action))
+    except MoveError:
+        return False
+    return True
+
+
 def test_enabled_delays_sampling_agrees_with_direct_evaluation():
     rng = random.Random(7)
     model = two_var_model(
-        invariants={("W", "wm"): conj(("y", "<=", 3))},
+        invariants={("W", "wm"): conj(("y", "<=", 3)), ("W", "wx"): conj(("y", ">=", 2))},
         guards={("W", "wm", "w_out"): conj(("x", ">=", 1), ("x", "<", 2))},
     )
     config = RhaConfiguration(
         (), node("wm"), make_valuation(("x", "y"), {"x": "1/4", "y": "1/2"})
     )
     intervals = enabled_delays(model, config, "w_out")
-    comp = model.by_name["W"]
-    flow = model.flow_at(node("wm"))
+    assert intervals == [Interval(Fraction(3, 2), Fraction(7, 4), True, False)]
     for _ in range(100):
         t = Fraction(rng.randint(0, 400), 100)
-        inside = any(ivl.contains(t) for ivl in intervals)
-        v_t = {k: v + flow[k] * t for k, v in config.valuation.items()}
-        direct = (
-            comp.invariant(node("wm")).holds(v_t)
-            and comp.guard(node("wm"), "w_out").holds(v_t)
-        )
-        assert inside == direct, t
+        assert any(ivl.contains(t) for ivl in intervals) == accepts(model, config, "w_out", t), t
+
+
+def test_local_move_offers_only_delays_the_target_invariant_admits():
+    # a --go--> b with x <= 1 at b: from x = 0 only delays up to 1 are legal
+    comp = RhaComponent("C", ("a", "b"), ("a",), (), {})
+    comp.transitions = {(node("a"), "go"): node("b")}
+    comp.invariants = {node("b"): conj(("x", "<=", 1))}
+    model = RhaModel(("x",), [comp])
+    config = initial_rha_config(model, "a", {"x": Fraction(0)})
+    assert available_moves(model, config) == [("go", [Interval(Fraction(0), Fraction(1))])]
+    assert timed_step(model, config, TimedAction(Fraction(1), "go")).valuation == {"x": Fraction(1)}
+    with pytest.raises(MoveError, match="invariant at node:b"):
+        timed_step(model, config, TimedAction(Fraction(2), "go"))
+    # a reset variable is 0 at the target whatever the delay
+    comp.resets = {(node("a"), "go"): frozenset({"x"})}
+    assert available_moves(model, config) == [("go", [Interval(Fraction(0), None)])]
+    assert accepts(model, config, "go", Fraction(2))
+
+
+def test_push_and_pop_are_offered_only_when_the_target_invariant_holds():
+    model = two_var_model(invariants={("W", "we"): conj(("x", "<=", 1))})
+    at_port = RhaConfiguration((), call("wb", "we"), make_valuation(("x", "y"), {"x": 2}))
+    assert available_moves(model, at_port) == []
+    assert not accepts(model, at_port, CALL_ACTION, Fraction(0))
+    at_port = RhaConfiguration((), call("wb", "we"), make_valuation(("x", "y"), {"x": 1}))
+    assert available_moves(model, at_port) == [(CALL_ACTION, [Interval(Fraction(0), Fraction(0))])]
+    model.by_name["H"].invariants[ret("wb", "wx")] = conj(("y", "=", 0))
+    at_exit = RhaConfiguration((("wb", (Fraction(0), Fraction(0))),), node("wx"), make_valuation(("x", "y"), {"y": 1}))
+    assert available_moves(model, at_exit) == []
+    assert not accepts(model, at_exit, RET_ACTION, Fraction(0))
+    model.by_name["H"].pass_by_value["wb"] = frozenset({"y"})  # y comes back as 0
+    assert available_moves(model, at_exit) == [(RET_ACTION, [Interval(Fraction(0), Fraction(0))])]
+
+
+def test_call_port_must_name_a_callee_entry():
+    model = two_var_model()
+    config = RhaConfiguration((), call("wb", "wm"), make_valuation(("x", "y"), {}))
+    with pytest.raises(MoveError, match="does not name an entry of W"):
+        timed_step(model, config, TimedAction(Fraction(0), CALL_ACTION))
+    assert available_moves(model, config) == []
+
+
+def _probes(intervals):
+    """Delays to judge an offer by: 0, 1, 5/2 and, for each interval, its
+    endpoints, its midpoint and points just outside each end."""
+    eps = Fraction(1, 1000)
+    out = {Fraction(0), Fraction(1), Fraction(5, 2)}
+    for ivl in intervals:
+        out |= {ivl.lo, ivl.lo - eps}
+        if ivl.hi is None:
+            out |= {ivl.lo + 1, ivl.lo + 5}
+        else:
+            out |= {ivl.hi, ivl.hi + eps, (ivl.lo + ivl.hi) / 2}
+    return sorted(out)
+
+
+def check_offers(model, config, seen=None):
+    """Every action of the component, plus push and pop, is offered by
+    ``available_moves`` at exactly the delays ``timed_step`` accepts.
+    ``seen`` counts the judged pairs of a configuration and an action
+    the RSM step has there, by kind and by whether it was offered."""
+    offered = dict(available_moves(model, config))
+    labels = sorted({a for (_src, a) in model.component_of_location(config.location).transitions})
+    for action in labels + [CALL_ACTION, RET_ACTION]:
+        intervals = offered.get(action, [])
+        for t in _probes(intervals):
+            assert any(ivl.contains(t) for ivl in intervals) == accepts(model, config, action, t), (action, t)
+        if seen is not None and action in available_actions(model, config):
+            kind = {CALL_ACTION: "push", RET_ACTION: "pop"}.get(action, "local")
+            seen[kind, action in offered] = seen.get((kind, action in offered), 0) + 1
+
+
+def judge_offers_from_start(data, draws, seen=None):
+    """Judge the offers at the configurations a random playable model
+    reaches within eight moves, breadth first and at most 40 of them,
+    each offer taken at its first and last probe inside.  The search
+    starts at the start node, or, so that pops are reached often, inside
+    a pending call of a random box, at any node of its callee; the start
+    valuation satisfies the start location's invariant."""
+    model, start, _, _ = rha_model_from_json(data)
+    assume(validate_rha(model) == [])
+    value = st.fractions(0, 3, max_denominator=4)
+    valuation = {x: draws.draw(value) for x in model.variables}
+    context, loc = (), node(start)
+    if draws.draw(st.booleans()):
+        box, callee = draws.draw(st.sampled_from([item for comp in model.components for item in comp.boxes.items()]))
+        context = ((box, tuple(draws.draw(value) for _ in model.variables)),)
+        loc = node(draws.draw(st.sampled_from(model.by_name[callee].nodes)))
+    assume(model.component_of_location(loc).invariant(loc).holds(valuation))
+    start_config = RhaConfiguration(context, loc, valuation)
+    frontier = deque([(start_config, 0)])
+    visited = {config_key(frontier[0][0])}
+    for _ in range(40):
+        if not frontier:
+            break
+        config, depth = frontier.popleft()
+        check_offers(model, config, seen)
+        for action, intervals in available_moves(model, config) if depth < 8 else ():
+            inside = [t for t in _probes(intervals) if intervals[0].contains(t)]
+            for t in {inside[0], inside[-1]}:
+                nxt = timed_step(model, config, TimedAction(t, action))
+                if config_key(nxt) not in visited:
+                    visited.add(config_key(nxt))
+                    frontier.append((nxt, depth + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rha_documents(playable=True), st.data())
+def test_available_moves_offer_exactly_what_timed_step_accepts(data, draws):
+    judge_offers_from_start(data, draws)
 
 
 # -- durations ------------------------------------------------------------------
@@ -350,64 +466,6 @@ def test_resets_belong_to_one_transition_not_to_its_label():
     config = RhaConfiguration((), node("b"), {"x": Fraction(1, 2)})
     after = timed_step(model, config, TimedAction(Fraction(0), "go"))
     assert after.valuation == {"x": Fraction(1, 2)}
-
-
-@st.composite
-def rha_documents(draw):
-    """A canonical RHA model document: rerunning the codec must give it
-    back unchanged.  One label sits on two transitions with different
-    resets; guards and invariants may be "false"; flows are rational."""
-    variables = draw(st.lists(st.sampled_from(("x", "y", "z", "u")), min_size=1, unique=True))
-    subsets = st.lists(st.sampled_from(variables), unique=True).map(sorted)
-    atom = st.fixed_dictionaries(
-        {"var": st.sampled_from(variables), "rel": st.sampled_from(RELATIONS), "bound": st.integers(0, 5)}
-    )
-    constraint = st.one_of(st.just("false"), st.lists(atom, max_size=2))
-    rate = st.fractions(min_value=0, max_value=3, max_denominator=6).map(fmt)
-    nodes = [[f"c{i}n{j}" for j in range(draw(st.integers(2, 4)))] for i in range(draw(st.integers(1, 3)))]
-    components, locations = [], []
-    for i, own in enumerate(nodes):
-        boxes = [
-            {"name": f"c{i}b{k}", "callee": f"C{callee}", "passByValue": draw(subsets)}
-            for k, callee in enumerate(draw(st.lists(st.integers(0, len(nodes) - 1), max_size=2)))
-        ]
-        locs = [f"node:{n}" for n in own]
-        for box in boxes:
-            callee_nodes = nodes[int(box["callee"][1:])]
-            locs += [f"call:{box['name']}:{callee_nodes[0]}", f"ret:{box['name']}:{callee_nodes[-1]}"]
-        first_resets = draw(subsets)
-        shared = [(locs[0], first_resets), (locs[1], draw(subsets.filter(lambda r: r != first_resets)))]
-        others = [(src, draw(subsets)) for src in draw(st.lists(st.sampled_from(locs), max_size=3))]
-        transitions = [
-            {"from": src, "action": action, "to": draw(st.sampled_from(locs)),
-             "guard": draw(constraint), "resets": resets}
-            for action, (src, resets) in [("go", t) for t in shared] + [(f"a{k}", t) for k, t in enumerate(others)]
-        ]
-        components.append({
-            "name": f"C{i}",
-            "nodes": own,
-            "entries": own[:1],
-            "exits": own[-1:],
-            "boxes": boxes,
-            "transitions": transitions,
-            "invariants": {loc: draw(constraint) for loc in draw(st.lists(st.sampled_from(locs), unique=True))},
-            "flows": {
-                loc: {x: draw(rate) for x in variables}
-                for loc in draw(st.lists(st.sampled_from(locs), unique=True))
-            },
-        })
-        locations += locs
-    achilles = draw(st.lists(st.sampled_from(locations), unique=True))
-    return {
-        "variables": variables,
-        "components": components,
-        "start": nodes[0][0],
-        "partition": {
-            "achilles": sorted(achilles),
-            "tortoise": sorted(loc for loc in locations if loc not in achilles),
-        },
-        "finals": sorted(draw(st.lists(st.sampled_from(locations), unique=True))),
-    }
 
 
 @given(rha_documents())

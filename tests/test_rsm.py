@@ -76,6 +76,12 @@ def test_unknown_locations_reported_after_an_earlier_error():
     assert any("B: transition uses unknown location node:ghost" in e for e in errors)
 
 
+def test_transition_labelled_with_a_pseudo_action_is_reported():
+    comp = RsmComponent("C", ("n", "m"), ("n",), (), {})
+    comp.transitions[(node("n"), CALL_ACTION)] = node("m")
+    assert validate(RsmModel([comp])) == ["C: transition at node:n is labelled with the pseudo action 'call'"]
+
+
 # -- step semantics ----------------------------------------------------------
 
 
@@ -239,6 +245,19 @@ def test_partial_partition_is_model_error():
     del partial[node("sink")]
     with pytest.raises(ModelError, match="not total"):
         solve_reachability_game(model, partial, "s0", [node("goal")])
+
+
+def test_solvers_reject_locations_the_model_lacks():
+    model, partition = flat_game_arena_model()
+    with pytest.raises(ModelError, match=r"finals names locations the model lacks: \['node:gaol'\]"):
+        reachable(model, "s0", [node("gaol")])
+    with pytest.raises(ModelError, match=r"finals names locations the model lacks: \['node:gaol'\]"):
+        solve_reachability_game(model, partition, "s0", [node("gaol")])
+    stray = {**partition, node("gaol"): ACH}
+    with pytest.raises(ModelError, match=r"partition names locations the model lacks: \['node:gaol'\]"):
+        solve_reachability_game(model, stray, "s0", [node("goal")])
+    with pytest.raises(ModelError, match=r"partition names locations the model lacks: \['node:gaol'\]"):
+        solve_termination_game(model, stray, "s0")
 
 
 def test_termination_game_shapes():
