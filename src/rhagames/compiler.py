@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .arith import Rational, Valuation, fmt, rat
-from .errors import CompileError, ModelError, ParseError
+from .errors import CompileError, ParseError
 from .games import Player
 from .rha import (
     RectConstraint,
@@ -181,7 +181,10 @@ class CompiledArena:
     ``roles`` maps decision locations to their ``Role`` (a free delay in a
     shared callee entry is declared at the call port that enters it), and
     ``slots`` maps each instruction's gadget boxes and claim nodes to
-    (instruction index, verification slot)."""
+    their verification slot: "div1", "div2", ... for the dividers in
+    chain order, "branch" for the claim nodes of a zero-check.  Slots do
+    not name the machine step: the harness counts it along the playout
+    (``Position.step``).  Every return port is urgent (z = 0)."""
 
     model: RhaModel
     partition: Dict[Location, Player]
@@ -192,7 +195,7 @@ class CompiledArena:
     time_bound: Rational = Fraction(4)
     instruction_anchor: Dict[int, Location] = field(default_factory=dict)
     roles: Dict[Location, Role] = field(default_factory=dict)
-    slots: Dict[str, Tuple[int, str]] = field(default_factory=dict)
+    slots: Dict[str, str] = field(default_factory=dict)
 
     def anchor_locations(self) -> FrozenSet[Location]:
         return frozenset(self.instruction_anchor.values())
@@ -250,9 +253,13 @@ class _Builder:
         return full
 
     def box(self, short: str, callee: str, passes: FrozenSet[str] = frozenset()) -> str:
+        """Add a box calling ``callee`` (already built).  Every return
+        port is urgent: control leaves a callee at once."""
         full = self._full(short)
         self.comp.boxes[full] = callee
         self.comp.pass_by_value[full] = frozenset(passes)
+        for ex in self.factory.components[callee].exits:
+            self.comp.invariants[ret(full, ex)] = URGENT
         return full
 
     def edge(
@@ -276,9 +283,6 @@ class _Builder:
     def declare(self, loc: Location, role: Role) -> None:
         """Record the role of a decision location (it decides the owner)."""
         self.factory.roles[loc] = role
-
-    def port_urgent(self, loc: Location) -> None:
-        self.comp.invariants[loc] = URGENT
 
     def cp(self, box_full: str) -> Location:
         """Call port of a box at its callee's (single) entry."""
@@ -308,7 +312,7 @@ class GadgetFactory:
         self.components: Dict[str, RhaComponent] = {}
         self.finals: Set[Location] = set()
         self.roles: Dict[Location, Role] = {}
-        self.slots: Dict[str, Tuple[int, str]] = {}
+        self.slots: Dict[str, str] = {}
 
     def _gadget_pass(self, a: str) -> FrozenSet[str]:
         """Pass set of a box calling a scaler on ``a``: protects the other
@@ -349,7 +353,6 @@ class GadgetFactory:
         entered with every clock but ``ticking`` passed by value; Tortoise
         decides at its return port."""
         box = b.box(f"d{i}", self.delay_cell(), frozenset(self.target.variables) - {ticking})
-        b.port_urgent(b.rp(box))
         return b.cp(box), b.rp(box), None
 
     def _measure_at_node(self, b: _Builder, i: int, ticking: str):
@@ -411,9 +414,7 @@ class GadgetFactory:
             boxes = [b.box(f"w{i}", wrap_name, passes) for i in range(1, n + 1)]
             b.edge(node(en), "start", b.cp(boxes[0]), resets=start_resets)
             for i in range(n - 1):
-                b.port_urgent(b.rp(boxes[i]))
                 b.edge(b.rp(boxes[i]), f"next{i + 1}", b.cp(boxes[i + 1]))
-            b.port_urgent(b.rp(boxes[-1]))
             b.edge(b.rp(boxes[-1]), "seal", node(ex), guard=conj((sealed, "=", n)))
             b.done()
         return name
@@ -460,8 +461,6 @@ class GadgetFactory:
             b.edge(enter2, link2, second)
         keep2 = b.edge(second, "keep2", node(ex))
         audit2 = b.edge(second, "audit2", b.cp(k2))
-        b.port_urgent(b.rp(k1))
-        b.port_urgent(b.rp(k2))
         b.edge(b.rp(k1), "ok", node(sm))
         b.edge(b.rp(k2), "ok2", node(sm))
         b.declare(enter1, Role(FIRST, gadget, holder))
@@ -501,7 +500,6 @@ class GadgetFactory:
                 loop = b.node("loop", urgent=True)
                 b.edge(node(en), "begin", node(loop))
                 div = b.edge(node(loop), "div", b.cp(g3))
-                b.port_urgent(b.rp(g3))
                 b.edge(b.rp(g3), "again", node(loop))
                 fin = b.edge(node(loop), "fin", b.cp(eq))
                 b.declare(node(loop), Role(CERT, actions=(fin, div), rule=("x=y",)))
@@ -512,18 +510,14 @@ class GadgetFactory:
                 g2 = b.box("g2", self.div("y", 2), self._gadget_pass("y"))
                 b.edge(node(en), "begin", node(l1))
                 div3 = b.edge(node(l1), "div3", b.cp(g3))
-                b.port_urgent(b.rp(g3))
                 b.edge(b.rp(g3), "again3", node(l1))
                 step = b.edge(node(l1), "step", b.cp(s))
-                b.port_urgent(b.rp(s))
                 b.edge(b.rp(s), "toloop", node(l2))
                 div2 = b.edge(node(l2), "div2", b.cp(g2))
-                b.port_urgent(b.rp(g2))
                 b.edge(b.rp(g2), "again2", node(l2))
                 fin = b.edge(node(l2), "fin", b.cp(eq))
                 b.declare(node(l1), Role(CERT, actions=(div3, step), rule=("3|y/x",)))
                 b.declare(node(l2), Role(CERT, actions=(fin, div2), rule=("x=y",)))
-            b.port_urgent(b.rp(eq))
             b.edge(b.rp(eq), "done", node(ex))
         else:
             m3 = b.box("m3", self.mul("x", 3), self._gadget_pass("x"))
@@ -533,9 +527,7 @@ class GadgetFactory:
             lb = b.node("lb", urgent=True)
             b.edge(node(en), "begin", node(ls))
             rounds = b.edge(node(ls), "round", b.cp(m3))
-            b.port_urgent(b.rp(m3))
             b.edge(b.rp(m3), "mid", b.cp(m2))
-            b.port_urgent(b.rp(m2))
             b.edge(b.rp(m2), "again", node(ls))
             if claim == "zero":
                 lock = b.edge(node(ls), "lock", node(lb), guard=conj(("y", "=", 1)))
@@ -546,14 +538,11 @@ class GadgetFactory:
                 t3 = b.box("t3", self.mul("x", 3), self._gadget_pass("x"))
                 lock = b.edge(node(ls), "lock", node(fb), guard=conj(("y", "=", 1)))
                 b.edge(node(fb), "bump", b.cp(bump))
-                b.port_urgent(b.rp(bump))
                 b.edge(b.rp(bump), "tolb", node(lb))
                 tri = b.edge(node(lb), "tri", b.cp(t3))
-                b.port_urgent(b.rp(t3))
                 b.edge(b.rp(t3), "again3", node(lb))
                 tests, chances = ("x=1", "3|1/x"), (tri,)
             dbl = b.edge(node(lb), "dbl", b.cp(d2))
-            b.port_urgent(b.rp(d2))
             b.edge(b.rp(d2), "again2", node(lb))
             fin = b.edge(node(lb), "fin", node(ex), guard=conj(("x", "=", 1)))
             b.declare(node(ls), Role(CERT, actions=(lock, rounds), rule=("y=1",)))
@@ -563,11 +552,11 @@ class GadgetFactory:
 
     # -- instruction components ----------------------------------------------
 
-    def instruction(self, name: str, kind: str, counter: Optional[str], index: int = 0):
-        """Build an instruction component whose gadget boxes and claim
-        nodes take the slots of machine instruction ``index``.  Returns
-        (component name, exit-label map).  Exit labels: "next" for inc/dec,
-        "pos"/"zero" for zero-checks, "halt" for halt."""
+    def instruction(self, name: str, kind: str, counter: Optional[str]):
+        """Build an instruction component and declare the slots of its
+        gadget boxes and claim nodes.  Returns (component name, exit-label
+        map).  Exit labels: "next" for inc/dec, "pos"/"zero" for
+        zero-checks, "halt" for halt."""
         b = _Builder(self, name)
         en = b.node("en", entry=True, urgent=True)
         if kind == "halt":
@@ -583,13 +572,11 @@ class GadgetFactory:
         for i, (a, n) in enumerate(chain, start=1):
             g = b.box(f"g{i}", self.div(a, n), self._gadget_pass(a))
             boxes.append(g)
-            self.slots[g] = (index, f"div{i}")
+            self.slots[g] = f"div{i}"
         b.edge(node(en), "go", b.cp(boxes[0]))
         for i in range(len(boxes) - 1):
-            b.port_urgent(b.rp(boxes[i]))
             b.edge(b.rp(boxes[i]), f"go{i + 2}", b.cp(boxes[i + 1]))
         last = b.rp(boxes[-1])
-        b.port_urgent(last)
 
         if kind in ("inc", "dec"):
             ex = b.node("ex", exit_=True, urgent=True)
@@ -614,14 +601,12 @@ class GadgetFactory:
         challenge = b.edge(node(vp), "challenge", b.cp(cert_pos))
         b.edge(node(vz), "accept", node(exzero))
         b.edge(node(vz), "challenge", b.cp(cert_zero))
-        b.port_urgent(b.rp(cert_pos))
-        b.port_urgent(b.rp(cert_zero))
         b.edge(b.rp(cert_pos), "okp", node(sm))
         b.edge(b.rp(cert_zero), "okz", node(sm))
         b.declare(node(br), Role(BRANCH, actions=(apos, azero)))
         b.declare(node(vp), Role(POSITIVE, actions=(challenge, accept), counter=counter))
         b.declare(node(vz), Role(ZERO, actions=(challenge, accept), counter=counter))
-        self.slots[vp] = self.slots[vz] = (index, "branch")
+        self.slots[vp] = self.slots[vz] = "branch"
         b.done()
         return name, {"pos": expos, "zero": exzero}
 
@@ -703,7 +688,7 @@ def compile(machine: TwoCounterMachine, target: str) -> CompiledArena:
     factory = GadgetFactory(target)
     exit_maps: Dict[int, Dict[str, str]] = {}
     for k, ins in enumerate(machine.instructions):
-        _, exit_maps[k] = factory.instruction(f"I{k}", *_instruction_kind(ins), index=k)
+        _, exit_maps[k] = factory.instruction(f"I{k}", *_instruction_kind(ins))
 
     main = _Builder(factory, "Main")
     en = main.node("en", entry=True, urgent=True)
@@ -714,7 +699,6 @@ def compile(machine: TwoCounterMachine, target: str) -> CompiledArena:
     for k, ins in enumerate(machine.instructions):
         for label, exit_name in exit_maps[k].items():
             port = ret(boxes[k], exit_name)
-            main.port_urgent(port)
             if label == "halt":
                 main.edge(port, f"finish{k}", node(halt_node))
             else:
@@ -792,11 +776,11 @@ def build_instruction(kind: str, counter: Optional[str], target: str) -> GadgetB
     return GadgetBundle(name, factory)
 
 
-def host_arena(bundle: GadgetBundle, entry_values: Dict[str, Rational], target: str) -> CompiledArena:
-    """Wrap a gadget bundle in a one-box host component so it can be
-    driven by the playout harness.  The host's ``done`` node is final;
-    a scaler's box takes slot div1 of instruction 0."""
-    factory = GadgetFactory(target)
+def host_arena(bundle: GadgetBundle, entry_values: Dict[str, Rational]) -> CompiledArena:
+    """Wrap a gadget bundle in a one-box host component, built for the
+    bundle's target, so it can be driven by the playout harness.  The
+    host's ``done`` node is final; a scaler's box takes slot div1."""
+    factory = GadgetFactory(bundle.factory.target.name)
     factory.components.update(bundle.factory.components)
     factory.finals.update(bundle.factory.finals)
     factory.roles.update(bundle.factory.roles)
@@ -809,13 +793,11 @@ def host_arena(bundle: GadgetBundle, entry_values: Dict[str, Rational], target: 
     scaler = bundle.operand is not None
     g = b.box("g", bundle.name, factory._gadget_pass(bundle.operand) if scaler else frozenset())
     b.edge(node(en), "go", b.cp(g))
-    for i, _ex in enumerate(gadget.exits):
-        port = b.rp(g, i)
-        b.port_urgent(port)
-        b.edge(port, f"out{i}", node(done))
+    for i in range(len(gadget.exits)):
+        b.edge(b.rp(g, i), f"out{i}", node(done))
     b.done()
     if scaler:
-        factory.slots[g] = (0, "div1")
+        factory.slots[g] = "div1"
     return _finish(factory, "Host", entry_values)
 
 
@@ -839,7 +821,7 @@ def arena_to_json(arena: CompiledArena) -> Tuple[dict, dict]:
         "anchors": {str(k): str(loc) for k, loc in arena.instruction_anchor.items()},
         "roles": {
             "locations": {str(loc): _role_to_json(role) for loc, role in arena.roles.items()},
-            "slots": {name: list(slot) for name, slot in arena.slots.items()},
+            "slots": dict(arena.slots),
         },
     }
     return model_json, sidecar
@@ -850,7 +832,7 @@ def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
     formed or the sidecar lacks a field or does not fit the model."""
     model, _start, partition, finals = rha_model_from_json(model_json)
     if partition is None or finals is None:
-        raise ModelError("arena JSON must carry partition and finals")
+        raise ParseError("arena JSON must carry partition and finals")
     problems = validate_rha(model)
     if problems:
         raise ParseError("arena model is not well formed: " + "; ".join(problems))
@@ -869,10 +851,12 @@ def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
                 parse_location(loc): _role_from_json(role, model.variables)
                 for loc, role in roles["locations"].items()
             },
-            slots={name: (int(k), str(slot)) for name, (k, slot) in roles["slots"].items()},
+            slots=dict(roles["slots"]),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad arena sidecar: {exc!r}") from exc
+    if not all(isinstance(slot, str) for slot in arena.slots.values()):
+        raise ParseError("arena sidecar: every slot must be a name such as \"div1\" or \"branch\"")
     locations = set(model.all_locations())
     if arena.entry not in locations:
         raise ParseError(f"arena sidecar: entry {arena.entry} is not a location of the model")

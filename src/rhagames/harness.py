@@ -114,11 +114,10 @@ def _is_free_delay(role: Optional[Role]) -> bool:
     return role is not None and role.kind in (FIRST, SECOND)
 
 
-def decision_slot(arena: CompiledArena, position: Position) -> Optional[Tuple[int, str]]:
-    """If the position is an addressable Tortoise decision, return
-    (instruction index, slot) with slot like "div1.check1" or "branch".
-    Verification decisions inside certificate sub-gadgets are not
-    addressable and yield None."""
+def decision_slot(arena: CompiledArena, position: Position) -> Optional[str]:
+    """If the position is an addressable Tortoise decision, return its
+    slot, like "div1.check1" or "branch".  Verification decisions inside
+    certificate sub-gadgets are not addressable and yield None."""
     role, config = position.role, position.config
     if role is None:
         return None
@@ -127,9 +126,7 @@ def decision_slot(arena: CompiledArena, position: Position) -> Optional[Tuple[in
     if role.kind not in (CHECK1, CHECK2) or not config.context:
         return None
     owner = arena.slots.get(config.context[-1][0])
-    if owner is None:
-        return None
-    return owner[0], f"{owner[1]}.{role.kind}"
+    return None if owner is None else f"{owner}.{role.kind}"
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +134,24 @@ def decision_slot(arena: CompiledArena, position: Position) -> Optional[Tuple[in
 # ---------------------------------------------------------------------------
 
 
-def _forced_move(position: Position) -> TimedAction:
+def _default_move(position: Position, prefer: Optional[str] = None) -> TimedAction:
+    """The move of a decision no strategy rule covers: ``prefer`` at delay
+    0 if it is offered so, else the first move offered at delay 0, else
+    the first move at its earliest delay, or inside its interval when the
+    lower bound is open (only hand-built models have one)."""
     if not position.moves:
         raise HarnessError(f"no move available at {position.config.location}")
+    zero = Fraction(0)
+    for action, intervals in position.moves:
+        if (prefer is None or action == prefer) and intervals[0].contains(zero):
+            return TimedAction(zero, action)
+    if prefer is not None:
+        return _default_move(position)
     action, intervals = position.moves[0]
     ivl = intervals[0]
-    if ivl.contains(Fraction(0)):
-        return TimedAction(Fraction(0), action)
     if ivl.lo_closed:
         return TimedAction(ivl.lo, action)
-    # open lower bound: any interior point works; compiled arenas only
-    # produce closed bounds, so this is a fallback for hand-built models
-    hi = ivl.hi if ivl.hi is not None else ivl.lo + 2
-    return TimedAction((ivl.lo + hi) / 2, action)
+    return TimedAction(ivl.lo + 1 if ivl.hi is None else (ivl.lo + ivl.hi) / 2, action)
 
 
 def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena) -> TimedStrategy:
@@ -169,7 +171,7 @@ def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena
         v = position.config.valuation
         role = position.role
         if role is None:
-            return _forced_move(position)
+            return _default_move(position)
         if role.kind in (FIRST, SECOND):
             kind, operand, n = role.gadget
             if role.kind == FIRST:
@@ -193,7 +195,7 @@ def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena
             x, y = v["x"], v["y"]
             tests = zip(role.actions, role.rule)
             return TimedAction(Fraction(0), next((a for a, t in tests if CERT_TESTS[t](x, y)), role.actions[-1]))
-        return _forced_move(position)
+        return _default_move(position)
 
     return strategy
 
@@ -225,46 +227,21 @@ def deviated_achilles(
 # ---------------------------------------------------------------------------
 
 
-def _first_zero_move(position: Position) -> TimedAction:
-    moves = position.moves
-    if not moves:
-        raise HarnessError(f"no move available at {position.config.location}")
-    for action, intervals in moves:
-        if intervals[0].contains(Fraction(0)):
-            return TimedAction(Fraction(0), action)
-    action, intervals = moves[0]
-    return TimedAction(intervals[0].lo, action)
-
-
 def tortoise_skip_all(arena: CompiledArena) -> TimedStrategy:
     """Never verify: always continue the simulation with delay 0.  The
     continue action is listed first at every Tortoise decision."""
 
-    return _first_zero_move
-
-
-def parse_slot(slot: str) -> Tuple[str, str]:
-    """Normalize a slot address: "div1" means "div1.check1"."""
-    if slot == "branch":
-        return "branch", ""
-    if "." in slot:
-        prefix, which = slot.split(".", 1)
-    else:
-        prefix, which = slot, "check1"
-    if not prefix.startswith("div") or which not in ("check1", "check2"):
-        raise HarnessError(f"bad verification slot {slot!r}")
-    return prefix, which
+    return _default_move
 
 
 def canonical_slot(slot: str) -> str:
     """The slot as ``decision_slot`` reports it: "div1" -> "div1.check1"."""
-    prefix, which = parse_slot(slot)
-    return "branch" if prefix == "branch" else f"{prefix}.{which}"
+    return slot if slot == "branch" or "." in slot else f"{slot}.{CHECK1}"
 
 
 def known_slots(arena: CompiledArena) -> List[str]:
-    prefixes = {prefix for _instruction, prefix in arena.slots.values()}
-    return sorted({p if p == "branch" else f"{p}.{check}" for p in prefixes for check in (CHECK1, CHECK2)})
+    """Every slot ``decision_slot`` can report in the arena."""
+    return sorted({s if s == "branch" else f"{s}.{check}" for s in arena.slots.values() for check in (CHECK1, CHECK2)})
 
 
 def decode_encoding(valuation) -> Optional[Tuple[int, int, int]]:
@@ -306,7 +283,7 @@ def tortoise_auditor(arena: CompiledArena) -> TimedStrategy:
         v = position.config.valuation
         role = position.role
         if role is None or role.kind not in TORTOISE_ROLES:
-            return _first_zero_move(position)
+            return _default_move(position)
         if role.kind in (CHECK1, CHECK2):
             kind, operand, n = role.gadget
             holder = role.holder
@@ -321,20 +298,9 @@ def tortoise_auditor(arena: CompiledArena) -> TimedStrategy:
                 _k, c, d = decoded
                 value = c if role.counter == "c1" else d
                 cheated = not (value > 0 if role.kind == POSITIVE else value == 0)
-        if cheated:
-            return _zero_move(position, role.actions[0])
-        return _first_zero_move(position)
+        return _default_move(position, role.actions[0] if cheated else None)
 
     return strategy
-
-
-def _zero_move(position: Position, action: str) -> TimedAction:
-    """``action`` with delay 0 if it is available so, else the first move
-    that is."""
-    for available, intervals in position.moves:
-        if available == action and intervals[0].contains(Fraction(0)):
-            return TimedAction(Fraction(0), action)
-    return _first_zero_move(position)
 
 
 def tortoise_verify_at(arena: CompiledArena, step: int, slot: str) -> TimedStrategy:
@@ -351,9 +317,9 @@ def tortoise_verify_at(arena: CompiledArena, step: int, slot: str) -> TimedStrat
     def strategy(position: Position) -> TimedAction:
         if not position.verified and position.step == step:
             here = decision_slot(arena, position)
-            if here is not None and here[1] == target_slot:
-                return _zero_move(position, position.role.actions[0])
-        return _first_zero_move(position)
+            if here == target_slot:
+                return _default_move(position, position.role.actions[0])
+        return _default_move(position)
 
     return strategy
 
@@ -454,7 +420,7 @@ def _faithful_addresses(
     playout of at most ``step_bound`` moves."""
     decisions = _faithful_decisions(arena, machine, step_bound)
     slots = ((position.step, decision_slot(arena, position)) for position, _move in decisions)
-    addresses = list(dict.fromkeys((step, here[1]) for step, here in slots if here is not None))
+    addresses = list(dict.fromkeys((step, here) for step, here in slots if here is not None))
     return sum(_is_free_delay(position.role) for position, _move in decisions), addresses
 
 
@@ -477,8 +443,8 @@ def delay_ordinal_addresses(arena: CompiledArena, machine: TwoCounterMachine) ->
             continue
         here = decision_slot(arena, position)
         if here is not None:
-            slot_prefix, _which = parse_slot(here[1])
-            out.extend((ordinal, (position.step, f"{slot_prefix}.{check}"), delay) for ordinal, check, delay in pending)
+            prefix = here.split(".")[0]
+            out.extend((ordinal, (position.step, f"{prefix}.{check}"), delay) for ordinal, check, delay in pending)
             pending = []
     return out
 

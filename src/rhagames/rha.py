@@ -236,7 +236,7 @@ def validate_rha(model: RhaModel) -> List[str]:
                     errors.append(f"{comp.name}: unknown relation {atom.rel!r} in a constraint on {atom.var}")
         for (src, action), cleared in comp.resets.items():
             if not set(cleared) <= varset:
-                errors.append(f"{comp.name}: reset of unknown variables on {action} at {src}")
+                errors.append(f"{comp.name}: reset of unknown variables {sorted(set(cleared) - varset)} on {action} at {src}")
     return errors
 
 

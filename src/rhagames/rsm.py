@@ -122,8 +122,9 @@ def validate(model: RsmModel) -> List[str]:
     seen_nodes: Set[str] = set()
     seen_boxes: Set[str] = set()
     names = set(model.by_name)
-    if len(names) != len(model.components):
-        errors.append("duplicate component names")
+    duplicates = sorted({comp.name for comp in model.components if model.by_name[comp.name] is not comp})
+    if duplicates:
+        errors.append(f"duplicate component names: {duplicates}")
     for comp in model.components:
         node_set = set(comp.nodes)
         if set(comp.entries) & set(comp.exits):
@@ -504,20 +505,26 @@ def game_to_json(
 
 def game_from_json(data: dict):
     """The game fields of a model record: (start, partition, finals),
-    each None when absent."""
+    each None when absent.  A location listed for both players is a
+    ``ParseError``."""
     start = data.get("start")
     partition = None
     finals = None
+    both = set()
     try:
         if "partition" in data:
             partition = {}
             for key, player in (("achilles", Player.ACHILLES), ("tortoise", Player.TORTOISE)):
                 for text in data["partition"].get(key, []):
-                    partition[parse_location(text)] = player
+                    loc = parse_location(text)
+                    if partition.setdefault(loc, player) is not player:
+                        both.add(str(loc))
         if "finals" in data:
             finals = frozenset(parse_location(text) for text in data["finals"])
     except (AttributeError, TypeError) as exc:
         raise ParseError(f"bad game fields: {exc}") from exc
+    if both:
+        raise ParseError("partition lists locations for both achilles and tortoise: " + ", ".join(sorted(both)))
     return start, partition, finals
 
 

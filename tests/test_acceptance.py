@@ -109,7 +109,7 @@ def test_criterion_3_divider_contract():
         for n in (2, 3, 6, 12):
             for zeta in zetas:
                 bundle = build_div("y", n, target)
-                arena = host_arena(bundle, {"y": zeta}, target)
+                arena = host_arena(bundle, {"y": zeta})
                 t = zeta / n
 
                 verdict = playout(
@@ -141,7 +141,7 @@ def test_criterion_3_divider_contract():
                 cases += 3
     # the first check of a divider of y by 2 ends at exactly 2 - beta/2
     beta = Fraction(1)
-    arena = host_arena(build_div("y", 2, "rta3"), {"y": beta}, "rta3")
+    arena = host_arena(build_div("y", 2, "rta3"), {"y": beta})
     check = playout(
         arena, faithful_achilles(None, arena),
         tortoise_verify_at(arena, 0, "div1.check1"), time_bound=None,

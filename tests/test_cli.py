@@ -9,7 +9,7 @@ from fixtures import flat_game_arena_model
 from rhagames.arith import rat
 from rhagames.cli import main
 from rhagames.harness import DEFAULT_STEP_BOUND, DEFAULT_TIME_BOUND, playout
-from rhagames.rsm import model_to_json, node
+from rhagames.rsm import RsmComponent, RsmModel, model_to_json, node
 from rhagames.tcm import Halt, Inc, TwoCounterMachine, machine_to_json
 
 INC_HALT_TEXT = "L0: INC c1 GOTO L1\nL1: HALT\n"
@@ -299,6 +299,52 @@ def test_rsm_solve_unknown_locations_exit_2(tmp_path, capsys):
         assert "finals names node:gaol" in err and "partition names node:ghost" in err
 
 
+def _fork_game(achilles, tortoise):
+    """One component: a --go--> b, a --stay--> c, final b; the players
+    own the locations listed, and Tortoise also owns b and c."""
+    comp = RsmComponent("G", ("a", "b", "c"), ("a",), (), {})
+    comp.transitions = {(node("a"), "go"): node("b"), (node("a"), "stay"): node("c")}
+    data = model_to_json(RsmModel([comp]), start="a", finals=[node("b")])
+    data["partition"] = {"achilles": achilles, "tortoise": tortoise + ["node:b", "node:c"]}
+    return data
+
+
+def test_rsm_solve_location_listed_for_both_players_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "game.json", json.dumps(_fork_game(["node:a"], [])))
+    code, out, _ = run_cli(capsys, "rsm-solve", path)
+    assert code == 0 and json.loads(out)["winner"] == "Achilles"
+    path = write(tmp_path, "game.json", json.dumps(_fork_game(["node:a"], ["node:a"])))
+    code, _, err = run_cli(capsys, "rsm-solve", path)
+    assert_one_line_error(code, err)
+    assert "node:a" in err
+
+
+def test_rsm_solve_ill_formed_model_exits_2(tmp_path, capsys):
+    data = _fork_game(["node:a"], [])
+    data["components"][0]["entries"] = ["ghost"]
+    path = write(tmp_path, "game.json", json.dumps(data))
+    code, _, err = run_cli(capsys, "rsm-solve", path)
+    assert_one_line_error(code, err)
+    assert "entry/exit ghost is not a node" in err
+
+
+def test_rsm_solve_reach_without_finals_exits_2(tmp_path, capsys):
+    data = _fork_game(["node:a"], [])
+    del data["finals"]
+    path = write(tmp_path, "game.json", json.dumps(data))
+    code, _, err = run_cli(capsys, "rsm-solve", path, "--objective", "reach")
+    assert_one_line_error(code, err)
+    assert "finals" in err
+
+
+@pytest.mark.parametrize("spec", ["verify:0", "audit"])
+def test_simulate_malformed_tortoise_exits_2(tmp_path, capsys, spec):
+    arena_path, machine_path = _compiled(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "simulate", arena_path, machine_path, "--tortoise", spec)
+    assert_one_line_error(code, err)
+    assert repr(spec) in err
+
+
 # -- check -------------------------------------------------------------------------
 
 
@@ -363,9 +409,10 @@ def _first_transition(arena):
         (lambda side: side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"].update(kind="audit"), "malformed role"),
         (lambda side: side["roles"]["locations"].update(
             {"node:nowhere": side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"]}), "node:nowhere"),
+        (lambda side: side["roles"]["slots"].update({"I0.g1": [0, "div1"]}), "slot"),
     ],
     ids=["missing-entry", "unknown-entry", "partial-valuation", "missing-roles", "malformed-role",
-         "role-at-unknown-location"],
+         "role-at-unknown-location", "slot-not-a-name"],
 )
 def test_check_bad_sidecar_exits_2(tmp_path, capsys, edit, named):
     arena_path, machine_path = _compiled(tmp_path, capsys)

@@ -17,7 +17,7 @@ from rhagames.compiler import (
     expected_valuation,
     host_arena,
 )
-from rhagames.errors import CompileError
+from rhagames.errors import CompileError, ParseError
 from rhagames.games import Player
 from rhagames.harness import (
     faithful_achilles,
@@ -54,8 +54,7 @@ def gadget_return(trace):
 def tortoise_challenger(arena, action_shorts):
     """Tortoise strategy taking the first decision whose action short-name
     is in ``action_shorts``; otherwise continue with delay 0."""
-    from rhagames.harness import _first_zero_move
-
+    skip = tortoise_skip_all(arena)
     fired = []
 
     def strategy(position):
@@ -65,7 +64,7 @@ def tortoise_challenger(arena, action_shorts):
                 if short in action_shorts and intervals[0].contains(Fraction(0)):
                     fired.append(True)
                     return TimedAction(Fraction(0), action)
-        return _first_zero_move(position)
+        return skip(position)
 
     return strategy
 
@@ -142,7 +141,7 @@ def test_expected_valuation_rejects_negative_parameters():
 @pytest.mark.parametrize("zeta", (Fraction(1), Fraction(1, 2), Fraction(1, 6)))
 def test_divider_exit_value_and_elapsed(target, operand, n, zeta):
     bundle = build_div(operand, n, target)
-    arena = host_arena(bundle, {operand: zeta}, target)
+    arena = host_arena(bundle, {operand: zeta})
     verdict = playout(
         arena, faithful_achilles(None, arena), tortoise_skip_all(arena), time_bound=None
     )
@@ -158,7 +157,7 @@ def test_divider_exit_value_and_elapsed(target, operand, n, zeta):
 @pytest.mark.parametrize("zeta", (Fraction(1), Fraction(1, 2), Fraction(1, 6)))
 def test_divider_first_check_ledger(target, n, zeta):
     bundle = build_div("y", n, target)
-    arena = host_arena(bundle, {"y": zeta}, target)
+    arena = host_arena(bundle, {"y": zeta})
     verdict = playout(
         arena,
         faithful_achilles(None, arena),
@@ -177,7 +176,7 @@ def test_div_y_2_first_check_is_two_minus_half_beta():
     for target in TARGETS:
         beta = Fraction(1)
         bundle = build_div("y", 2, target)
-        arena = host_arena(bundle, {"y": beta}, target)
+        arena = host_arena(bundle, {"y": beta})
         verdict = playout(
             arena,
             faithful_achilles(None, arena),
@@ -195,7 +194,7 @@ def test_div_y_2_first_check_is_two_minus_half_beta():
 def test_divider_second_check_ledger(target, n):
     zeta = Fraction(1, 2)
     bundle = build_div("y", n, target)
-    arena = host_arena(bundle, {"y": zeta}, target)
+    arena = host_arena(bundle, {"y": zeta})
     verdict = playout(
         arena,
         faithful_achilles(None, arena),
@@ -211,7 +210,7 @@ def test_divider_second_check_ledger(target, n):
 def test_divider_deviation_loses_to_check(target):
     zeta = Fraction(1, 2)
     bundle = build_div("y", 2, target)
-    arena = host_arena(bundle, {"y": zeta}, target)
+    arena = host_arena(bundle, {"y": zeta})
     base = faithful_achilles(None, arena)
 
     def deviated(position):
@@ -242,7 +241,7 @@ def test_unsupported_divisor_is_compiler_error():
 def test_increment_contract(target):
     alpha, beta = Fraction(1, 12), Fraction(1, 2)  # encoding (1, 1, 0)
     bundle = build_instruction("inc", "c1", target)
-    arena = host_arena(bundle, {"x": alpha, "y": beta}, target)
+    arena = host_arena(bundle, {"x": alpha, "y": beta})
     verdict = playout(
         arena, faithful_achilles(None, arena), tortoise_skip_all(arena), time_bound=None
     )
@@ -259,7 +258,7 @@ def test_decrement_contract_re_encodes(target):
     # encoding (1, 1, 0): dec c1 must land exactly on encoding (2, 0, 0)
     state = expected_valuation(1, 1, 0)
     bundle = build_instruction("dec", "c1", target)
-    arena = host_arena(bundle, {"x": state["x"], "y": state["y"]}, target)
+    arena = host_arena(bundle, {"x": state["x"], "y": state["y"]})
     verdict = playout(
         arena, faithful_achilles(None, arena), tortoise_skip_all(arena), time_bound=None
     )
@@ -282,7 +281,7 @@ def test_decrement_contract_re_encodes(target):
 def test_zerocheck_branches_and_certificates(target, counter, k_c_d, truth):
     state = expected_valuation(*k_c_d)
     bundle = build_instruction("zerocheck", counter, target)
-    arena = host_arena(bundle, {"x": state["x"], "y": state["y"]}, target)
+    arena = host_arena(bundle, {"x": state["x"], "y": state["y"]})
     comp = f"Zerocheck_{counter}"
 
     # accepted assertion: leave at the matching exit with x/6, y/2
@@ -418,6 +417,14 @@ def test_compile_is_deterministic():
         a1, s1 = arena_to_json(compile(machine, target))
         a2, s2 = arena_to_json(compile(machine, target))
         assert a1 == a2 and s1 == s2
+
+
+@pytest.mark.parametrize("field", ["partition", "finals"])
+def test_arena_without_game_fields_is_a_parse_error(field):
+    model_json, sidecar = arena_to_json(compile(TwoCounterMachine((Halt(),)), "rta3"))
+    del model_json[field]
+    with pytest.raises(ParseError, match="must carry partition and finals"):
+        arena_from_json(model_json, sidecar)
 
 
 def test_arena_json_round_trip():

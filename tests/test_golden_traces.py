@@ -58,11 +58,11 @@ def _hosts():
     for target in TARGETS:
         for operand in ("x", "y"):
             for n in (2, 3, 6, 12):
-                yield f"div_{operand}_{n}/{target}", host_arena(build_div(operand, n, target), {operand: 1}, target)
+                yield f"div_{operand}_{n}/{target}", host_arena(build_div(operand, n, target), {operand: 1})
         for kind, counter in (("inc", "c1"), ("inc", "c2"), ("dec", "c1"), ("dec", "c2"),
                               ("zerocheck", "c1"), ("zerocheck", "c2"), ("halt", None)):
             bundle = build_instruction(kind, counter, target)
-            yield f"{kind}_{counter}/{target}", host_arena(bundle, {"x": 1, "y": 1}, target)
+            yield f"{kind}_{counter}/{target}", host_arena(bundle, {"x": 1, "y": 1})
 
 
 def _table(table) -> list:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import rhagames.harness
 from machines import halting_corpus, nonhalting_corpus
 from rhagames.compiler import CompiledArena, build_div, compile, host_arena
-from rhagames.errors import HarnessError
+from rhagames.errors import HarnessError, StrategyError
 from rhagames.games import Player
 from rhagames.harness import (
     _faithful_addresses,
@@ -57,6 +57,34 @@ def test_push_into_a_callee_whose_entry_invariant_fails_is_stuck():
     assert verdict.outcome == "stuck" and verdict.steps == 1
     assert verdict.trace.last().location == call("b", "we")
     assert available_moves(arena.model, verdict.trace.last()) == []
+
+
+def _open_guard_arena():
+    """s --go--> t under the guard x > 1, Tortoise owning s, t final."""
+    host = RhaComponent("H", ("s", "t"), ("s",), (), {})
+    host.transitions = {(node("s"), "go"): node("t")}
+    host.guards = {(node("s"), "go"): conj(("x", ">", 1))}
+    return CompiledArena(
+        RhaModel(("x",), [host]), {node("s"): Player.TORTOISE, node("t"): Player.ACHILLES},
+        frozenset({node("t")}), node("s"), {"x": Fraction(0)}, "rta3",
+    )
+
+
+def test_default_move_waits_into_an_open_lower_bound():
+    arena = _open_guard_arena()
+    verdict = playout(arena, faithful_achilles(None, arena), tortoise_skip_all(arena))
+    assert verdict.outcome == "final" and verdict.location == node("t")
+    assert verdict.trace.moves == (TimedAction(Fraction(2), "go"),)
+
+
+def test_illegal_move_is_a_strategy_error_naming_the_step():
+    arena = _open_guard_arena()
+
+    def wait_one(position):
+        return TimedAction(Fraction(1), "go")
+
+    with pytest.raises(StrategyError, match=r"^step 0: illegal move .* at node:s: "):
+        playout(arena, faithful_achilles(None, arena), wait_one)
 
 
 # -- faithful Achilles ----------------------------------------------------------
@@ -252,6 +280,17 @@ def test_auditor_punishes_every_first_deviation():
     assert punished >= 10
 
 
+@pytest.mark.parametrize("target", ("rta3", "rsa4"))
+def test_bounded_search_finds_a_final_exactly_within_its_depth(target):
+    # the faithful run of INC c1; HALT reaches Main.HALT three moves after
+    # configs[-4], so the search must expand continuations to find it
+    arena = compile(INC_HALT, target)
+    verdict = playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena))
+    config = verdict.trace.configs[-4]
+    assert reachable_final_bounded(arena, config, 3)
+    assert not reachable_final_bounded(arena, config, 2)
+
+
 # -- the incremental play state ----------------------------------------------------
 #
 # The oracle recounts every position field from scratch over the trace
@@ -409,7 +448,7 @@ def test_check_time_ledger_budgets():
 
 def test_check_time_ledger_single_divider():
     bundle = build_div("y", 2, "rta3")
-    arena = host_arena(bundle, {"y": Fraction(1)}, "rta3")
+    arena = host_arena(bundle, {"y": Fraction(1)})
     verdict = playout(arena, faithful_achilles(None, arena), tortoise_skip_all(arena))
     assert verdict.elapsed == 1  # t + t' = beta
     report = check_time_ledger(verdict, arena)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fixtures import one_clock_rta
 from generators import rha_documents
 from rhagames.arith import make_valuation
-from rhagames.errors import MoveError
+from rhagames.errors import MoveError, ParseError
+from rhagames.games import Player
 from rhagames.rha import (
     CALL_ACTION,
     RET_ACTION,
@@ -194,6 +195,29 @@ def test_unknown_relation_fails_validation():
     model.by_name["W"].guards.clear()
     model.by_name["W"].invariants[node("wm")] = conj(("y", "==", 0))
     assert validate_rha(model) == ["W: unknown relation '==' in a constraint on y"]
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda m: m.by_name["H"].pass_by_value.update(ghost=frozenset()), "H: pass-by-value for unknown box ghost"),
+        (lambda m: m.by_name["H"].pass_by_value.update(wb=frozenset({"q"})), "H: box wb passes unknown variables ['q']"),
+        (lambda m: m.by_name["W"].flows.update({node("wm"): {"x": Fraction(1)}}),
+         "W: flow at node:wm is not total on the variable set"),
+        (lambda m: m.by_name["W"].flows.update({node("wm"): {"x": Fraction(-1), "y": Fraction(1)}}),
+         "W: negative flow x=-1 at node:wm"),
+        (lambda m: m.by_name["W"].guards.update({(node("wm"), "w_out"): conj(("q", "<=", 1))}),
+         "W: constraint on unknown variable q"),
+        (lambda m: m.by_name["W"].resets.update({(node("we"), "w_go"): frozenset({"q"})}),
+         "W: reset of unknown variables ['q'] on w_go at node:we"),
+    ],
+    ids=["unknown-box", "unknown-passed-variable", "partial-flow", "negative-flow", "unknown-constraint-variable",
+         "unknown-reset-variable"],
+)
+def test_validate_rha_names_the_offending_item(edit, named):
+    model = two_var_model()
+    edit(model)
+    assert validate_rha(model) == [named]
 
 
 # -- enabled delays ----------------------------------------------------------------
@@ -466,6 +490,13 @@ def test_resets_belong_to_one_transition_not_to_its_label():
     config = RhaConfiguration((), node("b"), {"x": Fraction(1, 2)})
     after = timed_step(model, config, TimedAction(Fraction(0), "go"))
     assert after.valuation == {"x": Fraction(1, 2)}
+
+
+def test_rha_reader_rejects_a_location_listed_for_both_players():
+    data = rha_model_to_json(one_clock_rta(), start="p1", partition={node("p1"): Player.ACHILLES})
+    data["partition"]["tortoise"] = ["node:p1"]
+    with pytest.raises(ParseError, match="both achilles and tortoise: node:p1"):
+        rha_model_from_json(data)
 
 
 @given(rha_documents())

@@ -82,6 +82,29 @@ def test_transition_labelled_with_a_pseudo_action_is_reported():
     assert validate(RsmModel([comp])) == ["C: transition at node:n is labelled with the pseudo action 'call'"]
 
 
+def _component(name, nodes, entries=None, boxes=None, transitions=None):
+    comp = RsmComponent(name, nodes, entries or nodes[:1], (), boxes or {})
+    comp.transitions.update(transitions or {})
+    return comp
+
+
+@pytest.mark.parametrize(
+    "components, named",
+    [
+        ([_component("C", ("n",)), _component("C", ("m",))], "duplicate component names: ['C']"),
+        ([_component("C", ("n",), entries=("ghost",))], "C: entry/exit ghost is not a node"),
+        ([_component("C", ("n",), boxes={"b": "D"}), _component("D", ("m",), boxes={"b": "C"})],
+         "D: box names reused across components: ['b']"),
+        ([_component("C", ("n",), boxes={"b": "Nowhere"})], "C: box b calls unknown component Nowhere"),
+        ([_component("C", ("n",), boxes={"b": "D"}, transitions={(call("b", "m"), "go"): node("n")}),
+          _component("D", ("m",))], "C: call port call:b:m has an outgoing transition"),
+    ],
+    ids=["duplicate-component", "entry-not-a-node", "box-name-reused", "unknown-callee", "call-port-transition"],
+)
+def test_validate_names_the_offending_item(components, named):
+    assert validate(RsmModel(components)) == [named]
+
+
 # -- step semantics ----------------------------------------------------------
 
 
