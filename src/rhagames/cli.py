@@ -115,10 +115,11 @@ def _tortoise_from_spec(arena, spec: str, faithful):
     if spec == "skip":
         return tortoise_skip_all(arena)
     if spec.startswith("verify:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise HarnessError(f"bad --tortoise value {spec!r}; expected verify:STEP:SLOT")
-        step, slot = int(parts[1]), parts[2]
+        try:
+            _verify, step_text, slot = spec.split(":")
+            step = int(step_text)
+        except ValueError as exc:
+            raise HarnessError(f"bad --tortoise value {spec!r}; expected verify:STEP:SLOT") from exc
         strategy = tortoise_verify_at(arena, step, slot)
         if (step, canonical_slot(slot)) not in faithful()[1]:
             raise HarnessError(f"--tortoise {spec}: the faithful run crosses no such decision")

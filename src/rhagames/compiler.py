@@ -39,6 +39,7 @@ The total time of a faithful unverified playout is below 4: instruction
 k costs less than 2 * 2^-k.
 """
 
+import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
@@ -857,6 +858,13 @@ def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
         raise ParseError(f"bad arena sidecar: {exc!r}") from exc
     if not all(isinstance(slot, str) for slot in arena.slots.values()):
         raise ParseError("arena sidecar: every slot must be a name such as \"div1\" or \"branch\"")
+    boxes = {b for comp in model.components for b in comp.boxes}
+    nodes = {n for comp in model.components for n in comp.nodes}
+    for key, slot in arena.slots.items():
+        if key not in boxes and key not in nodes:
+            raise ParseError(f"arena sidecar: slot key {key!r} is neither a box nor a node of the model")
+        if not (key in boxes and re.fullmatch(r"div[1-9][0-9]*", slot) or key in nodes and slot == "branch"):
+            raise ParseError(f"arena sidecar: slot {slot!r} at {key!r}; a box takes div<n>, a node \"branch\"")
     locations = set(model.all_locations())
     if arena.entry not in locations:
         raise ParseError(f"arena sidecar: entry {arena.entry} is not a location of the model")

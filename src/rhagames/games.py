@@ -92,38 +92,42 @@ def attractor(arena: FiniteArena, targets: Iterable[State]) -> Tuple[FrozenSet[S
     """States from which Achilles forces a visit to ``targets``, plus a
     positional strategy witnessing membership.
 
-    The iteration visits states in a fixed sorted order so the returned
-    strategy is reproducible.  States outside the returned set are
-    winning for Tortoise (finite reachability games are determined).
+    Linear in the arena (Grädel/Thomas/Wilke, LNCS 2500): the search
+    works backwards over edges, breadth first from the targets in the
+    arena's state order.  Each newly won state's incoming edges are
+    scanned in transition order.  An Achilles state is won by the first
+    edge found, whose action becomes its strategy move.  A Tortoise
+    state is won when the last of its edges is found; two actions into
+    one state are two edges.  So the strategy depends only on the order
+    of the arena's states and transitions.  States outside the returned
+    set are winning for Tortoise (finite reachability games are
+    determined).
     """
     target_set = frozenset(targets)
-    unknown = target_set - set(arena.states)
+    unknown = [s for s in target_set if s not in arena.owner]
     if unknown:
         raise ModelError(f"targets not in arena: {sorted(map(repr, unknown))}")
 
-    order = sorted(arena.states, key=repr)
+    into: Dict[State, List[Tuple[State, Action]]] = {}
+    for (s, a), t in arena.transition.items():
+        into.setdefault(t, []).append((s, a))
+    owner, actions = arena.owner, arena._actions
+    left: Dict[State, int] = {}  # edges of a Tortoise state not yet found winning
     winning = set(target_set)
     strategy: Dict[State, Action] = {}
-    changed = True
-    while changed:
-        changed = False
-        for s in order:
+    frontier = [s for s in arena.states if s in target_set]
+    for t in frontier:  # grows while it is read: a breadth-first queue
+        for s, a in into.get(t, ()):
             if s in winning:
                 continue
-            actions = arena.available(s)
-            if not actions:
-                continue
-            if arena.owner[s] is Player.ACHILLES:
-                for a in actions:
-                    if arena.successor(s, a) in winning:
-                        winning.add(s)
-                        strategy[s] = a
-                        changed = True
-                        break
+            if owner[s] is Player.ACHILLES:
+                strategy[s] = a
             else:
-                if all(arena.successor(s, a) in winning for a in actions):
-                    winning.add(s)
-                    changed = True
+                left[s] = left.get(s, len(actions[s])) - 1
+                if left[s]:
+                    continue
+            winning.add(s)
+            frontier.append(s)
     return frozenset(winning), strategy
 
 

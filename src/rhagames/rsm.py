@@ -16,7 +16,7 @@ actions ``CALL_ACTION`` and ``RET_ACTION``.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import ModelError, ParseError
 from .games import Player
@@ -247,80 +247,158 @@ def _start_component(model: RsmModel, start_node: str) -> RsmComponent:
     return model.by_name[model._node_home[start_node]]
 
 
-SuccessorGraph = Dict[Location, Tuple[RsmComponent, Optional[List[Location]]]]
+class SuccessorGraph(NamedTuple):
+    """The locations of a model numbered 0..n-1 in the solvers' sweep
+    order: components callees first (declaration order when the call
+    graph has cycles), then ``str(loc)``.  ``succ`` holds the targets of
+    an internal location's component-local transitions, and None at call
+    ports and exits, whose moves the call/return discipline fixes;
+    transitions out of a call port, an exit or another component's
+    location are ignored, and one into another component or nowhere is
+    a ``ModelError``, as is a call port whose entry is not a node of its
+    callee.  ``calls`` maps a call port to its callee entry
+    and one return port per callee exit, ``exit_bits`` an exit to its
+    bits in its component's exit mask (bit j for ``exits[j]``).  A
+    location's ``preds`` are the locations whose rule reads it: the
+    sources of transitions into it and, at a callee entry or a return
+    port, the call port."""
+
+    locations: List[Location]
+    index: Dict[Location, int]
+    components: List[RsmComponent]
+    succ: List[Optional[List[int]]]
+    calls: Dict[int, Tuple[int, List[int]]]
+    exit_bits: Dict[int, int]
+    preds: List[List[int]]
 
 
 def _successor_graph(model: RsmModel) -> SuccessorGraph:
-    """Every location with its component and the targets of its
-    component-local transitions, or None at call ports and exits, whose
-    moves the call/return discipline fixes.  Transitions out of a call
-    port, an exit or another component's location are ignored.  The
-    order is the solvers' sweep order: components callees first
-    (declaration order when the call graph has cycles), then ``str(loc)``."""
-    graph: SuccessorGraph = {}
+    home: Dict[Location, RsmComponent] = {}
     for comp in model.components:
         for loc in model.locations(comp):
-            graph[loc] = (comp, None if loc.kind == "call" or is_exit(comp, loc) else [])
+            home[loc] = comp
+    rank = {name: i for i, name in enumerate(callee_first_order(model) or [c.name for c in model.components])}
+    order = sorted(home.items(), key=lambda item: (rank[item[1].name], str(item[0])))
+    locations = [loc for loc, _comp in order]
+    components = [comp for _loc, comp in order]
+    index = {loc: i for i, loc in enumerate(locations)}
+    succ: List[Optional[List[int]]] = [None] * len(locations)
+    preds: List[List[int]] = [[] for _ in locations]
+    calls: Dict[int, Tuple[int, List[int]]] = {}
+    exit_bits: Dict[int, int] = {}
+    for i, (loc, comp) in enumerate(zip(locations, components)):
+        if loc.kind == "call":
+            callee = model.by_name[comp.boxes[loc.box]]
+            entry = index.get(node(loc.name))
+            if entry is None or components[entry] is not callee:
+                raise ModelError(f"{loc} does not name an entry of {callee.name}")
+            rets = [index[ret(loc.box, ex)] for ex in callee.exits]
+            calls[i] = (entry, rets)
+            for j in [entry, *rets]:
+                preds[j].append(i)
+        elif is_exit(comp, loc):
+            exit_bits[i] = sum(1 << j for j, ex in enumerate(comp.exits) if ex == loc.name)
+        else:
+            succ[i] = []
     for comp in model.components:
         for (src, _a), dst in comp.transitions.items():
-            home, succ = graph.get(src, (None, None))
-            if home is comp and succ is not None:
-                succ.append(dst)
-    rank = {name: i for i, name in enumerate(callee_first_order(model) or [c.name for c in model.components])}
-    return dict(sorted(graph.items(), key=lambda item: (rank[item[1][0].name], str(item[0]))))
+            i = index.get(src)
+            if i is None or components[i] is not comp or succ[i] is None:
+                continue
+            j = index.get(dst)
+            if j is None or components[j] is not comp:
+                raise ModelError(f"{comp.name}: transition at {src} leads to {dst}, which is not one of its locations")
+            succ[i].append(j)
+            preds[j].append(i)
+    return SuccessorGraph(locations, index, components, succ, calls, exit_bits, preds)
 
 
-def _check_known(graph: SuccessorGraph, locs: Iterable[Location], what: str) -> None:
-    unknown = sorted(str(loc) for loc in locs if loc not in graph)
+def _check_known(index: Dict[Location, int], locs: Iterable[Location], what: str) -> None:
+    unknown = sorted(str(loc) for loc in locs if loc not in index)
     if unknown:
         raise ModelError(f"{what} names locations the model lacks: {unknown}")
 
 
-def _summaries(model: RsmModel, finals: FrozenSet[Location]):
-    """For every location compute (a) whether a final location is
-    reachable (in any context) and (b) the set of same-level exits
-    reachable.  Least fixpoint over all components at once."""
+def _least_fixpoint(graph: SuccessorGraph, value: List[int], evaluate: Callable[[int], int]) -> List[int]:
+    """Grow ``value`` to the least fixpoint of ``value[i] |= evaluate(i)``,
+    where ``evaluate`` is monotone and reads only ``i``'s successors,
+    callee entry and return ports.  A location is evaluated only after
+    one of those has grown (Liu & Smolka's predecessor worklist), so the
+    starting values must be the rules' values on all-zero inputs.
+    Returns how many times each location was popped."""
+    preds = graph.preds
+    queued = bytearray(len(value))
+    work: List[int] = []
+    for i, v in enumerate(value):
+        if v:
+            for p in preds[i]:
+                if not queued[p]:
+                    queued[p] = 1
+                    work.append(p)
+    pops = [0] * len(value)
+    while work:
+        i = work.pop()
+        queued[i] = 0
+        pops[i] += 1
+        old = value[i]
+        new = old | evaluate(i)
+        if new != old:
+            value[i] = new
+            for p in preds[i]:
+                if not queued[p]:
+                    queued[p] = 1
+                    work.append(p)
+    return pops
+
+
+def _summaries(model: RsmModel, finals: FrozenSet[Location]) -> Tuple[SuccessorGraph, List[int]]:
+    """For every location compute whether a final location is reachable
+    (in any context), bit 0 of its value, and which same-level exits are
+    reachable, bit j + 1 for its component's ``exits[j]``.  Least
+    fixpoint over all components at once."""
     graph = _successor_graph(model)
-    _check_known(graph, finals, "finals")
-    hit = {loc: loc in finals for loc in graph}
-    exits_reach = {
-        loc: {loc.name} if loc.kind == "node" and succ is None else set() for loc, (_c, succ) in graph.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for loc, (_comp, succ) in graph.items():
-            new_hit = hit[loc]
-            new_exits = set(exits_reach[loc])
-            if loc.kind == "call":
-                en = node(loc.name)
-                new_hit = new_hit or hit[en]
-                for ex in exits_reach[en]:
-                    rp = ret(loc.box, ex)
-                    new_hit = new_hit or hit[rp]
-                    new_exits |= exits_reach[rp]
-            for dst in succ or ():
-                new_hit = new_hit or hit[dst]
-                new_exits |= exits_reach[dst]
-            if new_hit != hit[loc] or new_exits != exits_reach[loc]:
-                hit[loc], exits_reach[loc] = new_hit, new_exits
-                changed = True
-    return hit, exits_reach
+    _check_known(graph.index, finals, "finals")
+    succ, calls = graph.succ, graph.calls
+    value = [0] * len(graph.locations)
+    for i, bits in graph.exit_bits.items():
+        value[i] = bits << 1
+    for loc in finals:
+        value[graph.index[loc]] |= 1
+
+    def evaluate(i: int) -> int:
+        targets = succ[i]
+        if targets is not None:
+            v = 0
+            for j in targets:
+                v |= value[j]
+            return v
+        entry, rets = calls[i]
+        at_entry = value[entry]
+        v = at_entry & 1
+        at_entry >>= 1
+        for r in rets:
+            if at_entry & 1:
+                v |= value[r]
+            at_entry >>= 1
+        return v
+
+    _least_fixpoint(graph, value, evaluate)
+    return graph, value
 
 
 def reachable(model: RsmModel, start_node: str, finals: Iterable[Location]) -> bool:
     """True iff some configuration with a final location is reachable
     from ``(<empty>, start_node)``."""
     _start_component(model, start_node)
-    hit, _ = _summaries(model, frozenset(finals))
-    return hit[node(start_node)]
+    graph, value = _summaries(model, frozenset(finals))
+    return bool(value[graph.index[node(start_node)]] & 1)
 
 
 def terminates(model: RsmModel, start_node: str) -> bool:
     """True iff an exit of the start component is reachable with empty context."""
     _start_component(model, start_node)
-    _, exits_reach = _summaries(model, frozenset())
-    return bool(exits_reach[node(start_node)])
+    graph, value = _summaries(model, frozenset())
+    return value[graph.index[node(start_node)]] >> 1 != 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +413,14 @@ class SummaryTable:
     """``wins[(loc, E)]`` records whether Achilles forces, from ``loc``
     (any context), either a final location or a same-level exit in the
     allowance ``E``.  ``minimal_allowances`` is the antichain of minimal
-    winning allowances per location (the winning family is upward closed)."""
+    winning allowances per location (the winning family is upward closed).
+    ``stats`` counts the solver's work: ``locations``, worklist ``pops``
+    and ``evaluations``, the (location, allowance) pairs those pops
+    decided."""
 
     wins: Dict[Tuple[Location, FrozenSet[str]], bool]
     minimal_allowances: Dict[Location, List[FrozenSet[str]]]
+    stats: Dict[str, int] = field(default_factory=dict)
 
 
 def _all_subsets(items: Tuple[str, ...]) -> List[FrozenSet[str]]:
@@ -373,50 +455,76 @@ def callee_first_order(model: RsmModel) -> Optional[List[str]]:
 
 
 def _game_fixpoint(model: RsmModel, partition: GamePartition, finals: FrozenSet[Location]) -> SummaryTable:
+    """Allowance ``m`` of a component is the exit set ``_all_subsets``
+    lists at position ``m``, the exits ``j`` with bit j of m set; a
+    location's value has bit m set when Achilles wins it for allowance m."""
     graph = _successor_graph(model)
-    _check_known(graph, finals, "finals")
-    _check_known(graph, partition, "partition")
-    missing = [str(loc) for loc in graph if loc not in partition]
+    locations, index, succ, calls = graph.locations, graph.index, graph.succ, graph.calls
+    _check_known(index, finals, "finals")
+    _check_known(index, partition, "partition")
+    owners = [partition.get(loc) for loc in locations]
+    missing = [str(loc) for loc, owner in zip(locations, owners) if owner is None]
     if missing:
         raise ModelError(f"partition is not total; missing {missing}")
+    achilles = [owner is Player.ACHILLES for owner in owners]
     allowances = {comp.name: _all_subsets(comp.exits) for comp in model.components}
-    wins: Dict[Tuple[Location, FrozenSet[str]], bool] = {
-        (loc, allowance): False for loc, (comp, _s) in graph.items() for allowance in allowances[comp.name]
-    }
+    widths = [len(allowances[comp.name]) for comp in graph.components]
+    full = [(1 << width) - 1 for width in widths]
 
-    def won(loc: Location, succ: Optional[List[Location]], allowance: FrozenSet[str]) -> bool:
-        if loc in finals:
-            return True
-        if loc.kind == "call":
-            en, box = node(loc.name), loc.box
-            return any(
-                wins[(en, sub)] and all(wins[(ret(box, ex), allowance)] for ex in sub)
-                for sub in allowances[model.callee_of_box(box).name]
-            )
-        if succ is None:  # an exit
-            return loc.name in allowance
-        if not succ:
-            return False  # dead end: the reachability objective fails
-        pick = any if partition[loc] is Player.ACHILLES else all
-        return pick(wins[(dst, allowance)] for dst in succ)
+    value = [0] * len(locations)
+    for i, bits in graph.exit_bits.items():  # an exit wins the allowances that contain it
+        value[i] = sum(1 << m for m in range(widths[i]) if m & bits)
+    for loc in finals:
+        value[index[loc]] = full[index[loc]]
 
-    # Sweep in graph order (callees first on acyclic call graphs, so
-    # callee summaries stabilize before their callers read them) until
-    # stable; the outer loop covers recursion, where no single evaluation
-    # order is exact.
-    changed = True
-    while changed:
-        changed = False
-        for loc, (comp, succ) in graph.items():
-            for allowance in allowances[comp.name]:
-                if not wins[(loc, allowance)] and won(loc, succ, allowance):
-                    wins[(loc, allowance)] = changed = True
+    def evaluate(i: int) -> int:
+        targets = succ[i]
+        if targets is not None:
+            if not targets:
+                return 0  # dead end: the reachability objective fails
+            if achilles[i]:
+                v = 0
+                for j in targets:
+                    v |= value[j]
+            else:
+                v = full[i]
+                for j in targets:
+                    v &= value[j]
+            return v
+        # A call port wins allowance m when the callee entry wins some
+        # exit set s and every return port of s wins m.
+        entry, rets = calls[i]
+        at_entry, s, v = value[entry], 0, 0
+        while at_entry:
+            if at_entry & 1:
+                w = full[i]
+                for j, r in enumerate(rets):
+                    if s >> j & 1:
+                        w &= value[r]
+                v |= w
+            at_entry >>= 1
+            s += 1
+        return v
 
+    pops = _least_fixpoint(graph, value, evaluate)
+
+    # below[m]: the allowances strictly inside allowance m, its proper submasks
+    below = {name: [sum(1 << s for s, F in enumerate(allowed) if F < E) for E in allowed]
+             for name, allowed in allowances.items()}
+    wins: Dict[Tuple[Location, FrozenSet[str]], bool] = {}
     minimal: Dict[Location, List[FrozenSet[str]]] = {}
-    for loc, (comp, _s) in graph.items():
-        winning = [E for E in allowances[comp.name] if wins[(loc, E)]]
-        minimal[loc] = [E for E in winning if not any(F < E for F in winning)]
-    return SummaryTable(wins, minimal)
+    for loc, comp, v in zip(locations, graph.components, value):
+        allowed, smaller = allowances[comp.name], below[comp.name]
+        for m, E in enumerate(allowed):
+            wins[(loc, E)] = v >> m & 1 == 1
+        # m is minimal when it wins and no allowance below it does
+        minimal[loc] = [E for m, E in enumerate(allowed) if v >> m & 1 and not v & smaller[m]]
+    stats = {
+        "locations": len(locations),
+        "pops": sum(pops),
+        "evaluations": sum(p * width for p, width in zip(pops, widths)),
+    }
+    return SummaryTable(wins, minimal, stats)
 
 
 def solve_reachability_game(

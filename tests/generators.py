@@ -71,6 +71,38 @@ def _random_game(seed: int, recursive: bool) -> Tuple[RsmModel, GamePartition, s
     return model, partition, start, finals
 
 
+def sized_recursive_game(rng: random.Random, n_comps: int, n_nodes: int, n_boxes: int):
+    """A recursive game of a chosen size, shaped like the benchmark's:
+    ``n_comps`` components of ``n_nodes`` nodes (1-2 entries, 1-2 exits)
+    and ``n_boxes`` boxes calling any component.  Every non-exit node
+    and return port has 1-2 transitions to a node or call port of its
+    component; about 1% of the locations are final."""
+    comps = []
+    for i in range(n_comps):
+        nodes = tuple(f"c{i}n{j}" for j in range(n_nodes))
+        entries = nodes[: rng.randint(1, 2)]
+        exits = nodes[n_nodes - rng.randint(1, 2):]
+        boxes = {f"c{i}b{j}": f"C{rng.randrange(n_comps)}" for j in range(n_boxes)}
+        comps.append(RsmComponent(f"C{i}", nodes, entries, exits, boxes))
+    model = RsmModel(comps)
+    label = 0
+    for comp in model.components:
+        targets = [node(n) for n in comp.nodes]
+        sources = [node(n) for n in comp.nodes if n not in comp.exits]
+        for box, callee_name in comp.boxes.items():
+            callee = model.by_name[callee_name]
+            targets.extend(call(box, en) for en in callee.entries)
+            sources.extend(ret(box, ex) for ex in callee.exits)
+        for src in sources:
+            for _ in range(rng.randint(1, 2)):
+                comp.transitions[(src, f"a{label}")] = rng.choice(targets)
+                label += 1
+    locations = model.all_locations()
+    partition = {loc: rng.choice((Player.ACHILLES, Player.TORTOISE)) for loc in locations}
+    finals = frozenset(rng.sample(locations, max(1, len(locations) // 100)))
+    return model, partition, model.components[0].nodes[0], finals
+
+
 @st.composite
 def rha_documents(draw, playable: bool = False):
     """A canonical RHA model document: rerunning the codec must give it

@@ -7,10 +7,14 @@ configuration graph and running the plain finite-arena attractor.  A
 recursive machine has no finite configuration graph, so its games are
 bracketed instead: unfold up to a context depth and count a push past
 it once as a loss and once as a win for Achilles.
+
+The attractor itself is checked against ``sweep_attractor``, the
+textbook forward iteration, and its strategy against the closure and
+ranking certificate of ``attractor_problems``.
 """
 
 from collections import deque
-from typing import Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from rhagames.games import FiniteArena, Player, attractor
 from rhagames.rsm import (
@@ -117,3 +121,74 @@ def sandwich_reachability(model, partition, start_node, finals, depth: int) -> T
 def sandwich_termination(model, partition, start_node, depth: int) -> Tuple[bool, bool]:
     """The same bracket for the termination game."""
     return _sandwich(model, partition, start_node, _terminated(model), depth)
+
+
+def sweep_attractor(arena: FiniteArena, targets: Iterable) -> Tuple[FrozenSet, Dict]:
+    """The attractor by sweeping all states in sorted order until no
+    state joins: Achilles joins on an edge into the set, Tortoise when
+    all its edges lead into it, a dead end never."""
+    winning = set(targets)
+    strategy = {}
+    order = sorted(arena.states, key=repr)
+    changed = True
+    while changed:
+        changed = False
+        for s in order:
+            actions = arena.available(s)
+            if s in winning or not actions:
+                continue
+            if arena.owner[s] is Player.ACHILLES:
+                for a in actions:
+                    if arena.successor(s, a) in winning:
+                        winning.add(s)
+                        strategy[s] = a
+                        changed = True
+                        break
+            elif all(arena.successor(s, a) in winning for a in actions):
+                winning.add(s)
+                changed = True
+    return frozenset(winning), strategy
+
+
+def attractor_problems(arena: FiniteArena, targets: FrozenSet, winning, strategy) -> List[str]:
+    """Certificate for an attractor: outside the winning set Tortoise can
+    stay outside (closure), and inside it the strategy edges plus all
+    Tortoise edges lead to the targets without cycles (ranking).  Returns
+    at most three problems; none means the answer is certified."""
+    bad = []
+    pending: Dict[object, int] = {}
+    preds: Dict[object, List[object]] = {}
+    for s in arena.states:
+        actions = arena.available(s)
+        succs = [arena.successor(s, a) for a in actions]
+        mine = arena.owner[s] is Player.ACHILLES
+        if s in targets:
+            continue
+        if s not in winning:
+            stays = all(t not in winning for t in succs) if mine else any(t not in winning for t in succs)
+            if succs and not stays:
+                bad.append(f"state {s!r} outside the attractor cannot be kept outside")
+            continue
+        if mine:
+            if strategy.get(s) not in actions:
+                bad.append(f"no strategy move at winning state {s!r}")
+                continue
+            succs = [arena.successor(s, strategy[s])]
+        if not succs or any(t not in winning for t in succs):
+            bad.append(f"winning state {s!r} can leave the attractor")
+            continue
+        pending[s] = len(succs)
+        for t in succs:
+            preds.setdefault(t, []).append(s)
+    ready = list(targets)
+    settled = 0
+    while ready:
+        t = ready.pop()
+        for s in preds.get(t, ()):
+            pending[s] -= 1
+            if pending[s] == 0:
+                settled += 1
+                ready.append(s)
+    if not bad and settled != len(pending):
+        bad.append(f"{len(pending) - settled} winning states never reach a target")
+    return bad[:3]

@@ -337,12 +337,14 @@ def test_rsm_solve_reach_without_finals_exits_2(tmp_path, capsys):
     assert "finals" in err
 
 
-@pytest.mark.parametrize("spec", ["verify:0", "audit"])
+@pytest.mark.parametrize("spec", ["verify:0", "audit", "verify:x:div1"])
 def test_simulate_malformed_tortoise_exits_2(tmp_path, capsys, spec):
     arena_path, machine_path = _compiled(tmp_path, capsys)
     code, _, err = run_cli(capsys, "simulate", arena_path, machine_path, "--tortoise", spec)
     assert_one_line_error(code, err)
     assert repr(spec) in err
+    if spec.startswith("verify:"):
+        assert "expected verify:STEP:SLOT" in err
 
 
 # -- check -------------------------------------------------------------------------
@@ -410,9 +412,13 @@ def _first_transition(arena):
         (lambda side: side["roles"]["locations"].update(
             {"node:nowhere": side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"]}), "node:nowhere"),
         (lambda side: side["roles"]["slots"].update({"I0.g1": [0, "div1"]}), "slot"),
+        (lambda side: side["roles"]["slots"].update({"nowhere": "bogus"}), "'nowhere'"),
+        (lambda side: side["roles"]["slots"].update({"I0.g1": "branch"}), "'I0.g1'"),
+        (lambda side: side["roles"]["slots"].update({"Main.HALT": "div1"}), "'Main.HALT'"),
     ],
     ids=["missing-entry", "unknown-entry", "partial-valuation", "missing-roles", "malformed-role",
-         "role-at-unknown-location", "slot-not-a-name"],
+         "role-at-unknown-location", "slot-not-a-name", "slot-key-unknown", "box-slot-not-a-divider",
+         "node-slot-not-branch"],
 )
 def test_check_bad_sidecar_exits_2(tmp_path, capsys, edit, named):
     arena_path, machine_path = _compiled(tmp_path, capsys)

@@ -4,9 +4,12 @@ divider entered with value v exits with v/n after exactly 2*v/n time;
 its first check branch ends after t + n*(1-t) (three-clock target) or
 t + n (four-stopwatch target), its second after 1 + t."""
 
+import copy
 from fractions import Fraction
 
 import pytest
+
+from machines import halting_corpus, nonhalting_corpus
 
 from rhagames.compiler import (
     arena_from_json,
@@ -445,3 +448,34 @@ def test_arena_json_round_trip():
         v1 = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena))
         v2 = playout(again, faithful_achilles(machine, again), tortoise_skip_all(again))
         assert v1.outcome == v2.outcome and v1.elapsed == v2.elapsed
+
+
+def test_every_compiled_and_hosted_arena_loads_its_slots():
+    arenas = [compile(m, target) for m in halting_corpus() + nonhalting_corpus() for target in TARGETS]
+    for target in TARGETS:
+        arenas.append(host_arena(build_div("y", 2, target), {"y": 1}))
+        arenas.append(host_arena(build_instruction("zerocheck", "c1", target), {"x": 1, "y": 1}))
+    for arena in arenas:
+        assert arena_from_json(*arena_to_json(arena)).slots == arena.slots
+
+
+@pytest.mark.parametrize(
+    "slots, message",
+    [
+        ({"nowhere": "bogus"}, "slot key 'nowhere' is neither a box nor a node"),
+        ({"I0.g1": "branch"}, "slot 'branch' at 'I0.g1'"),
+        ({"I0.g1": "div0"}, "slot 'div0' at 'I0.g1'"),
+        ({"I0.g1": "div1.check1"}, "slot 'div1.check1' at 'I0.g1'"),
+        ({"Main.HALT": "div1"}, "slot 'div1' at 'Main.HALT'"),
+    ],
+    ids=["unknown-key", "box-branch", "box-div0", "box-check-name", "node-divider"],
+)
+def test_sidecar_slot_must_name_a_box_divider_or_a_branch_node(slots, message):
+    """The compiler writes ``div<n>`` at a gadget box and ``branch`` at a
+    claim node, and nothing else loads: a bogus slot would otherwise turn
+    up in ``known_slots`` and be accepted by ``tortoise_verify_at``."""
+    model_json, sidecar = arena_to_json(compile(TwoCounterMachine((Inc("c1", 1), Halt())), "rta3"))
+    bad = copy.deepcopy(sidecar)
+    bad["roles"]["slots"].update(slots)
+    with pytest.raises(ParseError, match=message):
+        arena_from_json(model_json, bad)

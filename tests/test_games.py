@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import attractor_problems, sweep_attractor
 from rhagames.errors import ModelError, StrategyError
 from rhagames.games import FiniteArena, Player, Run, attractor, play, positional, stop_index
 
@@ -147,3 +148,32 @@ def test_determinacy_and_strategy_witness_on_random_arenas():
                 continue
             run = play(arena, start, positional(strategy, fallback_first=arena), spoiler, bound)
             assert stop_index(run, targets) == math.inf
+
+
+def _shaped_arena(rng: random.Random, n: int):
+    """An arena shaped like the benchmark's finite arenas: 1-3 actions
+    per state into random states, about 2% dead ends and 1% targets.
+    About one state in ten has a second action into its first action's
+    target, and one extra target has no incoming edge."""
+    transitions = []
+    for s in range(n):
+        if rng.random() < 0.02:
+            continue
+        for a in range(rng.randint(1, 3)):
+            transitions.append((s, a, rng.randrange(n)))
+        if rng.random() < 0.1:
+            transitions.append((s, "twin", transitions[-1][2]))
+    owner = {s: rng.choice((ACH, TOR)) for s in range(n + 1)}
+    targets = rng.sample(range(n), max(1, n // 100)) + [n]
+    return FiniteArena(range(n + 1), transitions, owner), targets
+
+
+def test_attractor_matches_the_sweep_oracle_and_its_certificate():
+    rng = random.Random(2500)
+    for n in [1, 2, 3, 5, 8, 20, 50, 200, 800, 3000] * 3:
+        arena, targets = _shaped_arena(rng, n)
+        winning, strategy = attractor(arena, targets)
+        assert winning == sweep_attractor(arena, targets)[0], n
+        assert attractor_problems(arena, frozenset(targets), winning, strategy) == [], n
+        assert set(strategy) <= winning - set(targets)
+        assert attractor(arena, targets) == (winning, strategy)  # deterministic

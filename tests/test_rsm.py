@@ -1,11 +1,13 @@
 """Recursive state machines: validation, semantics, reachability, games."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fixtures import flat_game_arena_model, three_component_rsm
-from generators import random_hierarchical_game, random_recursive_game
+from generators import random_hierarchical_game, random_recursive_game, sized_recursive_game
 from oracles import (
     bfs_reachable,
     bfs_terminates,
@@ -143,8 +145,6 @@ def test_step_undefined_action_is_no_move():
 
 @given(st.integers(0, 10**6))
 def test_pop_is_inverse_of_push_on_matched_pairs(seed):
-    import random
-
     rng = random.Random(seed)
     model = three_component_rsm()
     # pick any call port, push, walk to the matching exit artificially, pop
@@ -334,12 +334,155 @@ def test_winning_allowances_are_upward_closed():
                         assert w2, f"{loc}: {e1} wins but superset {e2} does not"
 
 
+def test_worklist_pops_stay_within_the_predecessor_links():
+    """A location's value grows at most once per allowance of its
+    component, and only a growth re-queues the locations that read it,
+    so pops <= n + the sum, over predecessor links p -> v, of v's
+    allowance count.  Sweeping every location until nothing changes
+    needs 18 and 7 sweeps of these 1 546 locations, beyond the bound."""
+    model, partition, start, finals = sized_recursive_game(random.Random(1), 40, 24, 5)
+    n = len(model.all_locations())
+    allowances = {loc: 1 << len(comp.exits) for comp in model.components for loc in model.locations(comp)}
+    read = [dst for comp in model.components for dst in comp.transitions.values()]
+    for comp in model.components:
+        for box, callee_name in comp.boxes.items():
+            callee = model.by_name[callee_name]
+            for en in callee.entries:  # a call port reads its callee entry and return ports
+                read += [node(en)] + [ret(box, ex) for ex in callee.exits]
+    bound = n + sum(allowances[loc] for loc in read)
+    for _winner, table in (solve_reachability_game(model, partition, start, finals),
+                           solve_termination_game(model, partition, start)):
+        stats = table.stats
+        assert stats["locations"] == n == 1546
+        assert 0 < stats["pops"] <= bound < 7 * n
+        assert stats["pops"] <= stats["evaluations"] <= 4 * stats["pops"]
+
+
 def test_reachable_equals_all_achilles_game():
     model = three_component_rsm()
     partition = {loc: ACH for loc in model.all_locations()}
     for start in ("u1", "u2", "v2", "w1"):
         winner, _ = solve_reachability_game(model, partition, start, [node("u4")])
         assert (winner is ACH) == reachable(model, start, [node("u4")])
+
+
+# -- edge cases of the solvers' location index -----------------------------------
+
+
+def _agrees_with_oracles(model, start, finals, depth=4):
+    """The solvers against bounded search (single player) and the
+    depth-bounded sandwich (games), for the all-Achilles, all-Tortoise
+    and eight seeded partitions; returns the two game winners under the
+    all-Achilles and all-Tortoise partitions."""
+    assert reachable(model, start, finals) == bfs_reachable(model, start, finals)
+    assert terminates(model, start) == bfs_terminates(model, start)
+    locations = model.all_locations()
+    rng = random.Random(len(locations))
+    partitions = [{loc: ACH for loc in locations}, {loc: TOR for loc in locations}]
+    partitions += [{loc: rng.choice((ACH, TOR)) for loc in locations} for _ in range(8)]
+    winners = []
+    for partition in partitions:
+        reach = solve_reachability_game(model, partition, start, finals)[0]
+        term = solve_termination_game(model, partition, start)[0]
+        for solved, (lower, upper) in (
+            (reach is ACH, sandwich_reachability(model, partition, start, finals, depth)),
+            (term is ACH, sandwich_termination(model, partition, start, depth)),
+        ):
+            assert lower <= solved <= upper
+        winners.append((reach, term))
+    return winners[:2]
+
+
+def test_box_whose_callee_has_no_exits():
+    sink = RsmComponent("B", ("e", "spin"), ("e",), (), {})
+    sink.transitions[(node("e"), "l")] = node("spin")
+    sink.transitions[(node("spin"), "k")] = node("e")
+    main = RsmComponent("A", ("s", "t", "goal", "x"), ("s",), ("x",), {"b": "B"})
+    main.transitions[(node("s"), "enter")] = call("b", "e")
+    main.transitions[(node("s"), "skip")] = node("t")
+    main.transitions[(node("t"), "win")] = node("goal")
+    main.transitions[(node("t"), "leave")] = node("x")
+    model = RsmModel([main, sink])
+    assert validate(model) == []
+    assert _agrees_with_oracles(model, "s", [node("goal")]) == [(ACH, ACH), (TOR, TOR)]
+    assert reachable(model, "s", [node("spin")]) and not reachable(model, "e", [node("goal")])
+    assert not terminates(model, "e")
+
+
+def test_duplicate_transitions_into_one_target():
+    comp = RsmComponent("C", ("a", "b", "goal", "x"), ("a",), ("x",), {})
+    comp.transitions[(node("a"), "p")] = node("b")
+    comp.transitions[(node("a"), "q")] = node("b")
+    comp.transitions[(node("b"), "g")] = node("goal")
+    comp.transitions[(node("b"), "h")] = node("a")
+    comp.transitions[(node("goal"), "out")] = node("x")
+    model = RsmModel([comp])
+    assert _agrees_with_oracles(model, "a", [node("goal")]) == [(ACH, ACH), (TOR, TOR)]
+    partition = {loc: TOR for loc in model.all_locations()}
+    partition[node("b")] = ACH  # both of Tortoise's edges at a lead to b, where Achilles wins
+    assert solve_reachability_game(model, partition, "a", [node("goal")])[0] is ACH
+
+
+def test_self_recursive_component():
+    rec = RsmComponent("R", ("e", "m", "goal", "x"), ("e",), ("x",), {"r": "R"})
+    rec.transitions[(node("e"), "down")] = call("r", "e")
+    rec.transitions[(node("e"), "up")] = node("x")
+    rec.transitions[(ret("r", "x"), "back")] = node("m")
+    rec.transitions[(node("m"), "out")] = node("x")
+    rec.transitions[(node("m"), "win")] = node("goal")
+    model = RsmModel([rec])
+    assert callee_first_order(model) is None
+    # all-Tortoise recurses forever (context grows without bound)
+    assert _agrees_with_oracles(model, "e", [node("goal")]) == [(ACH, ACH), (TOR, TOR)]
+    partition = {loc: TOR for loc in model.all_locations()}
+    partition[node("e")] = ACH
+    winner, table = solve_termination_game(model, partition, "e")
+    assert winner is ACH and table.minimal_allowances[node("e")] == [frozenset({"x"})]  # by "up"
+    assert table.minimal_allowances[node("m")] == []  # Tortoise moves to the dead end goal
+
+
+def test_transitions_the_call_return_discipline_overrides_are_ignored():
+    """Out of a call port, an exit, or a location of another component:
+    ``validate`` reports them, and on the unvalidated model the solvers
+    ignore them, as the step semantics does."""
+    callee = RsmComponent("B", ("e", "y"), ("e",), ("y",), {})
+    callee.transitions[(node("e"), "fin")] = node("y")
+    main = RsmComponent("A", ("s", "goal", "x"), ("s",), ("x",), {"b": "B"})
+    main.transitions[(node("s"), "go")] = call("b", "e")
+    main.transitions[(call("b", "e"), "cheat")] = node("goal")
+    main.transitions[(node("x"), "cheat")] = node("goal")
+    main.transitions[(node("e"), "cheat")] = node("goal")
+    main.transitions[(ret("b", "y"), "done")] = node("x")
+    model = RsmModel([main, callee])
+    errors = validate(model)
+    assert any("call port call:b:e has an outgoing transition" in e for e in errors)
+    assert any("exit node x has an outgoing transition" in e for e in errors)
+    assert any("unknown location node:e" in e for e in errors)
+    assert _agrees_with_oracles(model, "s", [node("goal")]) == [(TOR, ACH), (TOR, ACH)]
+    assert not reachable(model, "s", [node("goal")]) and terminates(model, "s")
+
+
+@pytest.mark.parametrize(
+    "target, entry, message",
+    [
+        (node("ghost"), "e", "A: transition at node:s leads to node:ghost, which is not one of its locations"),
+        (node("e"), "e", "A: transition at node:s leads to node:e, which is not one of its locations"),
+        (node("s"), "ghost", "call:b:ghost does not name an entry of B"),
+    ],
+    ids=["unknown-target", "other-components-target", "entry-not-a-node"],
+)
+def test_solvers_reject_a_model_that_leaves_a_component(target, entry, message):
+    """Unvalidated models the solvers cannot number: a transition into
+    another component or nowhere, a callee entry that is not its node."""
+    callee = RsmComponent("B", ("e",), (entry,), (), {})
+    comp = RsmComponent("A", ("s",), ("s",), (), {"b": "B"})
+    comp.transitions[(node("s"), "jump")] = target
+    model = RsmModel([comp, callee])
+    assert validate(model)
+    with pytest.raises(ModelError, match=message):
+        reachable(model, "s", [node("s")])
+    with pytest.raises(ModelError, match=message):
+        solve_termination_game(model, {loc: ACH for loc in model.all_locations()}, "s")
 
 
 # -- JSON ----------------------------------------------------------------------
