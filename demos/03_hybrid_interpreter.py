@@ -57,7 +57,7 @@ print("\npushed frame stores the call-time valuation:",
 print("inside worker:", {k: str(val) for k, val in config.valuation.items()})
 
 # The guard y = 2 pins the delay exactly: 2 - 1/2 = 3/2.
-[window] = enabled_delays(model, config, "tick")
+window = enabled_delays(model, config, "tick")
 print("enabled delay for 'tick': exactly", window.lo, "(a single rational point)")
 
 config = timed_step(model, config, TimedAction(Fraction(3, 2), "tick"))

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .arith import fmt, rat
-from .compiler import arena_from_json, arena_to_json, compile as compile_machine
+from .compiler import TARGETS, arena_from_json, arena_to_json, compile as compile_machine
 from .errors import CompileError, HarnessError, ModelError, MoveError, ParseError, StrategyError
 from .harness import (
     DEFAULT_STEP_BOUND,
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a machine into a game arena")
     p.add_argument("file", help="machine file (text or JSON)")
-    p.add_argument("--target", choices=("rta3", "rsa4"), required=True)
+    p.add_argument("--target", choices=tuple(TARGETS), required=True)
     p.add_argument("--out", help="arena JSON path (a .sidecar.json is written next to it)")
     p.set_defaults(func=cmd_compile)
 

@@ -778,14 +778,10 @@ def build_instruction(kind: str, counter: Optional[str], target: str) -> GadgetB
 
 
 def host_arena(bundle: GadgetBundle, entry_values: Dict[str, Rational]) -> CompiledArena:
-    """Wrap a gadget bundle in a one-box host component, built for the
-    bundle's target, so it can be driven by the playout harness.  The
+    """Wrap a gadget bundle in a one-box host component, built in the
+    bundle's factory, so it can be driven by the playout harness.  The
     host's ``done`` node is final; a scaler's box takes slot div1."""
-    factory = GadgetFactory(bundle.factory.target.name)
-    factory.components.update(bundle.factory.components)
-    factory.finals.update(bundle.factory.finals)
-    factory.roles.update(bundle.factory.roles)
-    factory.slots.update(bundle.factory.slots)
+    factory = bundle.factory
     gadget = factory.components[bundle.name]
 
     b = _Builder(factory, "Host")
@@ -817,7 +813,6 @@ def arena_to_json(arena: CompiledArena) -> Tuple[dict, dict]:
     sidecar = {
         "target": arena.target,
         "time_bound": fmt(arena.time_bound),
-        "entry": str(arena.entry),
         "initialValuation": {k: fmt(v) for k, v in arena.initial_valuation.items()},
         "anchors": {str(k): str(loc) for k, loc in arena.instruction_anchor.items()},
         "roles": {
@@ -830,20 +825,26 @@ def arena_to_json(arena: CompiledArena) -> Tuple[dict, dict]:
 
 def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
     """Load an arena; raises ``ParseError`` when the model is not well
-    formed or the sidecar lacks a field or does not fit the model."""
-    model, _start, partition, finals = rha_model_from_json(model_json)
+    formed or does not start at one of its nodes, or when the sidecar
+    lacks a field or does not fit the model.  The model's ``start`` is
+    the entry (a sidecar ``entry`` of older arenas is ignored)."""
+    model, start, partition, finals = rha_model_from_json(model_json)
     if partition is None or finals is None:
         raise ParseError("arena JSON must carry partition and finals")
     problems = validate_rha(model)
     if problems:
         raise ParseError("arena model is not well formed: " + "; ".join(problems))
+    boxes = {b for comp in model.components for b in comp.boxes}
+    nodes = {n for comp in model.components for n in comp.nodes}
+    if not isinstance(start, str) or start not in nodes:
+        raise ParseError(f"arena model: start {start!r} is not a node of the model")
     try:
         roles = sidecar["roles"]
         arena = CompiledArena(
             model=model,
             partition=partition,
             finals=finals,
-            entry=parse_location(sidecar["entry"]),
+            entry=node(start),
             initial_valuation={k: rat(v) for k, v in sidecar["initialValuation"].items()},
             target=sidecar["target"],
             time_bound=rat(sidecar["time_bound"]),
@@ -858,16 +859,12 @@ def arena_from_json(model_json: dict, sidecar: dict) -> CompiledArena:
         raise ParseError(f"bad arena sidecar: {exc!r}") from exc
     if not all(isinstance(slot, str) for slot in arena.slots.values()):
         raise ParseError("arena sidecar: every slot must be a name such as \"div1\" or \"branch\"")
-    boxes = {b for comp in model.components for b in comp.boxes}
-    nodes = {n for comp in model.components for n in comp.nodes}
     for key, slot in arena.slots.items():
         if key not in boxes and key not in nodes:
             raise ParseError(f"arena sidecar: slot key {key!r} is neither a box nor a node of the model")
         if not (key in boxes and re.fullmatch(r"div[1-9][0-9]*", slot) or key in nodes and slot == "branch"):
             raise ParseError(f"arena sidecar: slot {slot!r} at {key!r}; a box takes div<n>, a node \"branch\"")
     locations = set(model.all_locations())
-    if arena.entry not in locations:
-        raise ParseError(f"arena sidecar: entry {arena.entry} is not a location of the model")
     if set(arena.initial_valuation) != set(model.variables):
         raise ParseError("arena sidecar: initialValuation must value exactly the model's variables")
     labels = {key for comp in model.components for key in comp.transitions}

@@ -81,7 +81,7 @@ class Position:
 
     config: RhaConfiguration
     role: Optional[Role]
-    moves: List[Tuple[str, List[Interval]]]
+    moves: List[Tuple[str, Interval]]
     step: int
     delays: int
     verified: bool
@@ -142,13 +142,12 @@ def _default_move(position: Position, prefer: Optional[str] = None) -> TimedActi
     if not position.moves:
         raise HarnessError(f"no move available at {position.config.location}")
     zero = Fraction(0)
-    for action, intervals in position.moves:
-        if (prefer is None or action == prefer) and intervals[0].contains(zero):
+    for action, ivl in position.moves:
+        if (prefer is None or action == prefer) and ivl.contains(zero):
             return TimedAction(zero, action)
     if prefer is not None:
         return _default_move(position)
-    action, intervals = position.moves[0]
-    ivl = intervals[0]
+    action, ivl = position.moves[0]
     if ivl.lo_closed:
         return TimedAction(ivl.lo, action)
     return TimedAction(ivl.lo + 1 if ivl.hi is None else (ivl.lo + ivl.hi) / 2, action)
@@ -454,21 +453,18 @@ def delay_ordinal_addresses(arena: CompiledArena, machine: TwoCounterMachine) ->
 # ---------------------------------------------------------------------------
 
 
-def _candidate_delays(intervals: List[Interval]) -> List[Rational]:
-    """Sample delays from an enabled set: endpoints plus a midpoint.  In
-    the compiled arenas every reachable choice behind a verification is a
-    point or [0, inf), so endpoint sampling is exhaustive there."""
-    out: List[Rational] = []
-    for ivl in intervals:
-        if ivl.lo_closed:
-            out.append(ivl.lo)
-        if ivl.hi is not None and ivl.hi_closed and ivl.hi != ivl.lo:
-            out.append(ivl.hi)
-        if ivl.hi is not None and ivl.hi > ivl.lo:
-            out.append((ivl.lo + ivl.hi) / 2)
-        if ivl.hi is None:
-            out.append(ivl.lo + 1)
-    return list(dict.fromkeys(out))
+def _candidate_delays(ivl: Interval) -> List[Rational]:
+    """Sample delays from an enabled interval: its closed endpoints plus
+    a midpoint, or ``lo + 1`` when it is unbounded.  In the compiled
+    arenas every reachable choice behind a verification is a point or
+    [0, inf), so endpoint sampling is exhaustive there."""
+    out = [ivl.lo] if ivl.lo_closed else []
+    if ivl.hi is None:
+        return out + [ivl.lo + 1]
+    if ivl.hi > ivl.lo:
+        out += [ivl.hi] if ivl.hi_closed else []
+        out.append((ivl.lo + ivl.hi) / 2)
+    return out
 
 
 def reachable_final_bounded(arena: CompiledArena, config: RhaConfiguration, depth: int) -> bool:
@@ -483,8 +479,8 @@ def reachable_final_bounded(arena: CompiledArena, config: RhaConfiguration, dept
             return True
         if d >= depth:
             continue
-        for action, intervals in available_moves(arena.model, current):
-            for delay in _candidate_delays(intervals):
+        for action, ivl in available_moves(arena.model, current):
+            for delay in _candidate_delays(ivl):
                 nxt = timed_step(arena.model, current, TimedAction(delay, action))
                 key = config_key(nxt)
                 if key not in visited:

@@ -21,6 +21,7 @@ offer exactly the delays ``timed_step`` accepts, so a push or pop whose
 target invariant fails is not offered at all.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -47,7 +48,9 @@ from .rsm import (
     validate,
 )
 
-RELATIONS = ("<", "<=", "=", ">=", ">")
+# The comparison each relation of an atom stands for.
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+RELATIONS = tuple(_COMPARE)
 
 
 @dataclass(frozen=True)
@@ -59,17 +62,10 @@ class Atom:
     bound: int
 
     def holds(self, value: Rational) -> bool:
-        if self.rel == "<":
-            return value < self.bound
-        if self.rel == "<=":
-            return value <= self.bound
-        if self.rel == "=":
-            return value == self.bound
-        if self.rel == ">=":
-            return value >= self.bound
-        if self.rel == ">":
-            return value > self.bound
-        raise ModelError(f"unknown relation {self.rel!r}")
+        compare = _COMPARE.get(self.rel)
+        if compare is None:
+            raise ModelError(f"unknown relation {self.rel!r}")
+        return compare(value, self.bound)
 
 
 @dataclass(frozen=True)
@@ -336,21 +332,21 @@ def _move_target(model: RhaModel, config: RhaConfiguration, action: str, error: 
     return move_target(model, config.location, action, config.context[-1][0] if config.context else None, error)
 
 
-def enabled_delays(model: RhaModel, config: RhaConfiguration, action: str) -> List[Interval]:
-    """The set of delays t after which ``action`` can fire: the invariant
-    must hold along [0, t] (endpoints suffice: constant flows, convex
-    invariant), the guard at t, and the target's invariant after the
-    move.  On a local move reset variables are 0 and the others have
-    moved at the source flow, so the set stays one interval.  Push/pop
-    moves admit exactly delay 0, and only when the target invariant holds
-    for the pushed or restored valuation."""
+def enabled_delays(model: RhaModel, config: RhaConfiguration, action: str) -> Optional[Interval]:
+    """The interval of delays t after which ``action`` can fire, or None
+    when there is none: the invariant must hold along [0, t] (endpoints
+    suffice: constant flows, convex invariant), the guard at t, and the
+    target's invariant after the move.  On a local move reset variables
+    are 0 and the others have moved at the source flow, so the set stays
+    one interval.  Push/pop moves admit exactly delay 0, and only when
+    the target invariant holds for the pushed or restored valuation."""
     try:
         target, effect = _move_target(model, config, action)
     except ModelError:
-        return []
+        return None
     target_inv = model.component_of_location(target).invariant(target)
     if effect != LOCAL:
-        return [ZERO_DELAY] if target_inv.holds(_frame_move(model, config, effect)[1]) else []
+        return ZERO_DELAY if target_inv.holds(_frame_move(model, config, effect)[1]) else None
     loc, valuation = config.location, config.valuation
     comp = model.component_of_location(loc)
     flow = model.flow_at(loc)
@@ -358,20 +354,18 @@ def enabled_delays(model: RhaModel, config: RhaConfiguration, action: str) -> Li
     # By convexity the invariant holds along [0, t] iff t is in its
     # interval and that interval starts at 0.
     if inv is None or not inv.contains(ZERO):
-        return []
+        return None
     joint = _narrow(inv, comp.guard(loc, action), valuation, flow)
-    if joint is not None:
-        joint = _narrow(joint, target_inv, valuation, flow, comp.reset_set(loc, action))
-    return [] if joint is None else [joint]
+    return None if joint is None else _narrow(joint, target_inv, valuation, flow, comp.reset_set(loc, action))
 
 
-def available_moves(model: RhaModel, config: RhaConfiguration) -> List[Tuple[str, List[Interval]]]:
-    """The RSM's available actions with nonempty delay sets at a
+def available_moves(model: RhaModel, config: RhaConfiguration) -> List[Tuple[str, Interval]]:
+    """The RSM's available actions with nonempty delay intervals at a
     configuration, in definition order."""
     out = []
     for action in available_actions(model, config):
         delays = enabled_delays(model, config, action)
-        if delays:
+        if delays is not None:
             out.append((action, delays))
     return out
 

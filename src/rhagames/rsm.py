@@ -93,7 +93,15 @@ class RsmModel:
         return self.by_name[self._box_home[box]]
 
     def callee_of_box(self, box: str) -> RsmComponent:
-        return self.by_name[self.component_of_box(box).boxes[box]]
+        return self.callee(self.component_of_box(box), box)
+
+    def callee(self, comp: RsmComponent, box: str) -> RsmComponent:
+        """The component that ``box`` of ``comp`` calls; a ``ModelError``
+        when the model has no component of that name."""
+        name = comp.boxes[box]
+        if name not in self.by_name:
+            raise ModelError(f"{comp.name}: box {box} calls unknown component {name}")
+        return self.by_name[name]
 
     def component_of_location(self, loc: Location) -> RsmComponent:
         if loc.kind == "node":
@@ -102,8 +110,8 @@ class RsmModel:
 
     def locations(self, comp: RsmComponent) -> List[Location]:
         locs = [node(n) for n in comp.nodes]
-        for b, callee_name in comp.boxes.items():
-            callee = self.by_name[callee_name]
+        for b in comp.boxes:
+            callee = self.callee(comp, b)
             locs.extend(call(b, en) for en in callee.entries)
             locs.extend(ret(b, ex) for ex in callee.exits)
         return locs
@@ -248,20 +256,20 @@ def _start_component(model: RsmModel, start_node: str) -> RsmComponent:
 
 
 class SuccessorGraph(NamedTuple):
-    """The locations of a model numbered 0..n-1 in the solvers' sweep
-    order: components callees first (declaration order when the call
-    graph has cycles), then ``str(loc)``.  ``succ`` holds the targets of
-    an internal location's component-local transitions, and None at call
-    ports and exits, whose moves the call/return discipline fixes;
-    transitions out of a call port, an exit or another component's
-    location are ignored, and one into another component or nowhere is
-    a ``ModelError``, as is a call port whose entry is not a node of its
-    callee.  ``calls`` maps a call port to its callee entry
-    and one return port per callee exit, ``exit_bits`` an exit to its
-    bits in its component's exit mask (bit j for ``exits[j]``).  A
-    location's ``preds`` are the locations whose rule reads it: the
-    sources of transitions into it and, at a callee entry or a return
-    port, the call port."""
+    """The locations of a model numbered 0..n-1 in model order: the
+    components in declaration order, each with its ``model.locations``
+    (the worklist reaches the same least fixpoint in any order).
+    ``succ`` holds the targets of an internal location's component-local
+    transitions, and None at call ports and exits, whose moves the
+    call/return discipline fixes; transitions out of a call port, an exit
+    or another component's location are ignored, and one into another
+    component or nowhere is a ``ModelError``, as is a call port whose
+    entry is not a node of its callee.  ``calls`` maps a call port to its
+    callee entry and one return port per callee exit, ``exit_bits`` an
+    exit to its bits in its component's exit mask (bit j for
+    ``exits[j]``).  A location's ``preds`` are the locations whose rule
+    reads it: the sources of transitions into it and, at a callee entry
+    or a return port, the call port."""
 
     locations: List[Location]
     index: Dict[Location, int]
@@ -277,10 +285,7 @@ def _successor_graph(model: RsmModel) -> SuccessorGraph:
     for comp in model.components:
         for loc in model.locations(comp):
             home[loc] = comp
-    rank = {name: i for i, name in enumerate(callee_first_order(model) or [c.name for c in model.components])}
-    order = sorted(home.items(), key=lambda item: (rank[item[1].name], str(item[0])))
-    locations = [loc for loc, _comp in order]
-    components = [comp for _loc, comp in order]
+    locations, components = list(home), list(home.values())
     index = {loc: i for i, loc in enumerate(locations)}
     succ: List[Optional[List[int]]] = [None] * len(locations)
     preds: List[List[int]] = [[] for _ in locations]
@@ -288,7 +293,7 @@ def _successor_graph(model: RsmModel) -> SuccessorGraph:
     exit_bits: Dict[int, int] = {}
     for i, (loc, comp) in enumerate(zip(locations, components)):
         if loc.kind == "call":
-            callee = model.by_name[comp.boxes[loc.box]]
+            callee = model.callee(comp, loc.box)
             entry = index.get(node(loc.name))
             if entry is None or components[entry] is not callee:
                 raise ModelError(f"{loc} does not name an entry of {callee.name}")
@@ -430,7 +435,7 @@ def _all_subsets(items: Tuple[str, ...]) -> List[FrozenSet[str]]:
 def callee_first_order(model: RsmModel) -> Optional[List[str]]:
     """Component names ordered so that every callee precedes its callers,
     or None when the call graph has a cycle (the machine is recursive)."""
-    calls = {c.name: sorted({callee for callee in c.boxes.values()}) for c in model.components}
+    calls = {c.name: sorted({model.callee(c, b).name for b in c.boxes}) for c in model.components}
     order: List[str] = []
     state: Dict[str, int] = {}  # 0 visiting, 1 done
 

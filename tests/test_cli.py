@@ -404,25 +404,36 @@ def _first_transition(arena):
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda side: side.pop("entry"), "entry"),
-        (lambda side: side.update(entry="node:nowhere"), "node:nowhere"),
-        (lambda side: side["initialValuation"].pop("z"), "initialValuation"),
-        (lambda side: side.pop("roles"), "roles"),
-        (lambda side: side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"].update(kind="audit"), "malformed role"),
-        (lambda side: side["roles"]["locations"].update(
+        (lambda arena, side: arena.pop("start"), "start None"),
+        (lambda arena, side: arena.update(start="nowhere"), "start 'nowhere'"),
+        (lambda arena, side: arena.update(start=0), "start 0"),
+        (lambda arena, side: arena.update(start=["Main.en"]), "start ['Main.en']"),
+        (lambda arena, side: side["initialValuation"].pop("z"), "initialValuation"),
+        (lambda arena, side: side.pop("roles"), "roles"),
+        (lambda arena, side: side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"].update(kind="audit"),
+         "malformed role"),
+        (lambda arena, side: side["roles"]["locations"].update(
             {"node:nowhere": side["roles"]["locations"]["call:Div_y_2.d1:Delay.en"]}), "node:nowhere"),
-        (lambda side: side["roles"]["slots"].update({"I0.g1": [0, "div1"]}), "slot"),
-        (lambda side: side["roles"]["slots"].update({"nowhere": "bogus"}), "'nowhere'"),
-        (lambda side: side["roles"]["slots"].update({"I0.g1": "branch"}), "'I0.g1'"),
-        (lambda side: side["roles"]["slots"].update({"Main.HALT": "div1"}), "'Main.HALT'"),
+        (lambda arena, side: side["roles"]["locations"]["ret:Div_y_2.d1:Delay.ex"].update(
+            actions=["Div_y_2.audit", "Main.boot"]), "names an action that does not leave it"),
+        (lambda arena, side: side["roles"]["slots"].update({"I0.g1": [0, "div1"]}), "slot"),
+        (lambda arena, side: side["roles"]["slots"].update({"nowhere": "bogus"}), "'nowhere'"),
+        (lambda arena, side: side["roles"]["slots"].update({"I0.g1": "branch"}), "'I0.g1'"),
+        (lambda arena, side: side["roles"]["slots"].update({"Main.HALT": "div1"}), "'Main.HALT'"),
     ],
-    ids=["missing-entry", "unknown-entry", "partial-valuation", "missing-roles", "malformed-role",
-         "role-at-unknown-location", "slot-not-a-name", "slot-key-unknown", "box-slot-not-a-divider",
-         "node-slot-not-branch"],
+    ids=["missing-entry", "unknown-entry", "start-not-a-string", "start-unhashable", "partial-valuation",
+         "missing-roles", "malformed-role", "role-at-unknown-location", "role-action-elsewhere", "slot-not-a-name",
+         "slot-key-unknown", "box-slot-not-a-divider", "node-slot-not-branch"],
 )
 def test_check_bad_sidecar_exits_2(tmp_path, capsys, edit, named):
+    """A bad sidecar, or a model ``start`` that is not one of its nodes
+    (the start is the arena's entry), ends in a one-line error."""
     arena_path, machine_path = _compiled(tmp_path, capsys)
-    _edit_json(str(tmp_path / "arena.sidecar.json"), edit)
+    with open(arena_path, encoding="utf-8") as handle:
+        arena = json.load(handle)
+    _edit_json(str(tmp_path / "arena.sidecar.json"), lambda side: edit(arena, side))
+    with open(arena_path, "w", encoding="utf-8") as handle:
+        json.dump(arena, handle)
     code, _, err = run_cli(capsys, "check", arena_path, machine_path)
     assert_one_line_error(code, err)
     assert named in err

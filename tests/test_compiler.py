@@ -62,9 +62,9 @@ def tortoise_challenger(arena, action_shorts):
 
     def strategy(position):
         if not fired:
-            for action, intervals in position.moves:
+            for action, ivl in position.moves:
                 short = action.rsplit(".", 1)[1]
-                if short in action_shorts and intervals[0].contains(Fraction(0)):
+                if short in action_shorts and ivl.contains(Fraction(0)):
                     fired.append(True)
                     return TimedAction(Fraction(0), action)
         return skip(position)
@@ -448,6 +448,26 @@ def test_arena_json_round_trip():
         v1 = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena))
         v2 = playout(again, faithful_achilles(machine, again), tortoise_skip_all(again))
         assert v1.outcome == v2.outcome and v1.elapsed == v2.elapsed
+
+
+def test_the_model_start_is_the_arena_entry():
+    """The sidecar carries no entry; one an older arena left is ignored."""
+    model_json, sidecar = arena_to_json(compile(TwoCounterMachine((Inc("c1", 1), Halt())), "rta3"))
+    assert "entry" not in sidecar and model_json["start"] == "Main.en"
+    older = {**sidecar, "entry": "node:I0.en"}
+    assert arena_from_json(model_json, older).entry == node("Main.en")
+    assert arena_from_json({**model_json, "start": "I0.en"}, older).entry == node("I0.en")
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_host_arena_twice_on_one_bundle_gives_equal_arenas(target):
+    """``host_arena`` builds its host in the bundle's own factory, so a
+    second call rebuilds the same host over the same gadget."""
+    for bundle, values in ((build_div("y", 2, target), {"y": 1}),
+                           (build_instruction("zerocheck", "c1", target), {"x": 1, "y": 1})):
+        first, second = host_arena(bundle, values), host_arena(bundle, values)
+        assert arena_to_json(first) == arena_to_json(second)
+        assert (first.entry, first.roles, first.slots) == (second.entry, second.roles, second.slots)
 
 
 def test_every_compiled_and_hosted_arena_loads_its_slots():

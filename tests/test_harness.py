@@ -1,5 +1,6 @@
 """Strategies, playouts, verdict classification, and the checkers."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -13,6 +14,9 @@ from rhagames.compiler import CompiledArena, build_div, compile, host_arena
 from rhagames.errors import HarnessError, StrategyError
 from rhagames.games import Player
 from rhagames.harness import (
+    Position,
+    _candidate_delays,
+    _default_move,
     _faithful_addresses,
     check_encoding,
     check_time_ledger,
@@ -29,7 +33,17 @@ from rhagames.harness import (
     tortoise_verify_at,
     trace_records,
 )
-from rhagames.rha import RhaComponent, RhaModel, TimedAction, TimedRun, available_moves, conj, run_duration
+from rhagames.rha import (
+    Interval,
+    RhaComponent,
+    RhaConfiguration,
+    RhaModel,
+    TimedAction,
+    TimedRun,
+    available_moves,
+    conj,
+    run_duration,
+)
 from rhagames.rsm import call, node
 from rhagames.tcm import Dec, Halt, Inc, TwoCounterMachine, ZeroCheck
 
@@ -75,6 +89,14 @@ def test_default_move_waits_into_an_open_lower_bound():
     verdict = playout(arena, faithful_achilles(None, arena), tortoise_skip_all(arena))
     assert verdict.outcome == "final" and verdict.location == node("t")
     assert verdict.trace.moves == (TimedAction(Fraction(2), "go"),)
+
+
+def test_default_move_falls_back_when_the_preferred_action_must_wait():
+    """``prefer`` is taken only at delay 0; else the first move that is."""
+    moves = [("late", Interval(Fraction(1), Fraction(2))), ("now", Interval(Fraction(0), None))]
+    position = Position(RhaConfiguration((), node("s"), {"x": Fraction(0)}), None, moves, 0, 0, False)
+    assert _default_move(position, "late") == TimedAction(Fraction(0), "now")
+    assert _default_move(position, "now") == TimedAction(Fraction(0), "now")
 
 
 def test_illegal_move_is_a_strategy_error_naming_the_step():
@@ -390,6 +412,24 @@ def test_negative_time_bound_is_harness_error():
         playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena), time_bound=Fraction(-1))
 
 
+@pytest.mark.parametrize(
+    "ivl, expected",
+    [
+        (Interval(Fraction(1), Fraction(1)), [1]),
+        (Interval(Fraction(1), Fraction(2)), [1, 2, Fraction(3, 2)]),
+        (Interval(Fraction(1), Fraction(2), True, False), [1, Fraction(3, 2)]),
+        (Interval(Fraction(1), Fraction(2), False, True), [2, Fraction(3, 2)]),
+        (Interval(Fraction(1), Fraction(2), False, False), [Fraction(3, 2)]),
+        (Interval(Fraction(1), None), [1, 2]),
+        (Interval(Fraction(1), None, False), [2]),
+    ],
+    ids=["point", "closed", "right-open", "left-open", "open", "unbounded", "open-unbounded"],
+)
+def test_candidate_delays_sample_closed_ends_and_a_point_inside(ivl, expected):
+    assert _candidate_delays(ivl) == expected
+    assert all(ivl.contains(t) for t in expected)
+
+
 # -- checkers ---------------------------------------------------------------------
 
 
@@ -415,6 +455,17 @@ def test_check_encoding_flags_deviated_trace():
     report = check_encoding(verdict, INC_HALT, arena)
     assert not report.ok
     assert "mismatch" in report.failure
+
+
+def test_check_encoding_flags_an_anchor_past_the_machine_run():
+    """The faithful ``INC c1; HALT`` run checked against the one-instruction
+    ``HALT`` machine: its second anchor has no machine step."""
+    arena = compile(INC_HALT, "rta3")
+    verdict = playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena))
+    report = check_encoding(verdict, HALT_ONLY, arena)
+    assert not report.ok
+    assert report.failure == "anchor 1 has no matching machine step"
+    assert [entry["ok"] for entry in report.entries] == [True]
 
 
 def test_check_encoding_empty_trace_is_vacuous():
@@ -444,6 +495,30 @@ def test_check_time_ledger_budgets():
     assert report.entries[-1]["total"] == str(verdict.elapsed.numerator) + "/" + str(
         verdict.elapsed.denominator
     )
+
+
+@pytest.mark.parametrize(
+    "raise_first_free, failure, oks",
+    [
+        (True, "instruction 0 took 25/6 >= 2/1", [False, True, False]),
+        (False, "total duration 25/6 >= 4", [True, True, False]),
+    ],
+    ids=["instruction-over-budget", "total-of-four"],
+)
+def test_check_time_ledger_flags_a_run_over_its_bounds(raise_first_free, failure, oks):
+    """The faithful ``INC c1; HALT`` run (7/6 in all) with one delay raised
+    by 3: a free delay of ``INC c1`` puts the instruction over its budget
+    of 2 (and the first failure is named), the boot move before the first
+    anchor counts only towards the total."""
+    arena = compile(INC_HALT, "rta3")
+    verdict = playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena))
+    index = next(i for i, move in enumerate(verdict.trace.moves) if move.delay > 0) if raise_first_free else 0
+    moves = list(verdict.trace.moves)
+    moves[index] = TimedAction(moves[index].delay + 3, moves[index].action)
+    report = check_time_ledger(dataclasses.replace(verdict, trace=TimedRun(verdict.trace.configs, tuple(moves))), arena)
+    assert not report.ok
+    assert report.failure == failure
+    assert [entry["ok"] for entry in report.entries] == oks
 
 
 def test_check_time_ledger_single_divider():

@@ -226,14 +226,14 @@ def test_validate_rha_names_the_offending_item(edit, named):
 def test_enabled_delays_top_guard_and_invariant():
     model = two_var_model()
     config = RhaConfiguration((), node("wm"), make_valuation(("x", "y"), {}))
-    [ivl] = enabled_delays(model, config, "w_out")
+    ivl = enabled_delays(model, config, "w_out")
     assert (ivl.lo, ivl.hi) == (Fraction(0), None)
 
 
 def test_enabled_delays_point_guard():
     model = two_var_model(guards={("W", "wm", "w_out"): conj(("x", "=", 1))})
     config = RhaConfiguration((), node("wm"), make_valuation(("x", "y"), {}))
-    [ivl] = enabled_delays(model, config, "w_out")
+    ivl = enabled_delays(model, config, "w_out")
     assert (ivl.lo, ivl.hi, ivl.lo_closed, ivl.hi_closed) == (Fraction(1), Fraction(1), True, True)
 
 
@@ -243,7 +243,7 @@ def test_enabled_delays_stopped_variable_empty():
         guards={("W", "wm", "w_out"): conj(("x", "=", 1))},
     )
     config = RhaConfiguration((), node("wm"), make_valuation(("x", "y"), {}))
-    assert enabled_delays(model, config, "w_out") == []
+    assert enabled_delays(model, config, "w_out") is None
 
 
 def accepts(model, config, action, delay) -> bool:
@@ -264,11 +264,11 @@ def test_enabled_delays_sampling_agrees_with_direct_evaluation():
     config = RhaConfiguration(
         (), node("wm"), make_valuation(("x", "y"), {"x": "1/4", "y": "1/2"})
     )
-    intervals = enabled_delays(model, config, "w_out")
-    assert intervals == [Interval(Fraction(3, 2), Fraction(7, 4), True, False)]
+    ivl = enabled_delays(model, config, "w_out")
+    assert ivl == Interval(Fraction(3, 2), Fraction(7, 4), True, False)
     for _ in range(100):
         t = Fraction(rng.randint(0, 400), 100)
-        assert any(ivl.contains(t) for ivl in intervals) == accepts(model, config, "w_out", t), t
+        assert ivl.contains(t) == accepts(model, config, "w_out", t), t
 
 
 def test_local_move_offers_only_delays_the_target_invariant_admits():
@@ -278,13 +278,13 @@ def test_local_move_offers_only_delays_the_target_invariant_admits():
     comp.invariants = {node("b"): conj(("x", "<=", 1))}
     model = RhaModel(("x",), [comp])
     config = initial_rha_config(model, "a", {"x": Fraction(0)})
-    assert available_moves(model, config) == [("go", [Interval(Fraction(0), Fraction(1))])]
+    assert available_moves(model, config) == [("go", Interval(Fraction(0), Fraction(1)))]
     assert timed_step(model, config, TimedAction(Fraction(1), "go")).valuation == {"x": Fraction(1)}
     with pytest.raises(MoveError, match="invariant at node:b"):
         timed_step(model, config, TimedAction(Fraction(2), "go"))
     # a reset variable is 0 at the target whatever the delay
     comp.resets = {(node("a"), "go"): frozenset({"x"})}
-    assert available_moves(model, config) == [("go", [Interval(Fraction(0), None)])]
+    assert available_moves(model, config) == [("go", Interval(Fraction(0), None))]
     assert accepts(model, config, "go", Fraction(2))
 
 
@@ -294,13 +294,13 @@ def test_push_and_pop_are_offered_only_when_the_target_invariant_holds():
     assert available_moves(model, at_port) == []
     assert not accepts(model, at_port, CALL_ACTION, Fraction(0))
     at_port = RhaConfiguration((), call("wb", "we"), make_valuation(("x", "y"), {"x": 1}))
-    assert available_moves(model, at_port) == [(CALL_ACTION, [Interval(Fraction(0), Fraction(0))])]
+    assert available_moves(model, at_port) == [(CALL_ACTION, Interval(Fraction(0), Fraction(0)))]
     model.by_name["H"].invariants[ret("wb", "wx")] = conj(("y", "=", 0))
     at_exit = RhaConfiguration((("wb", (Fraction(0), Fraction(0))),), node("wx"), make_valuation(("x", "y"), {"y": 1}))
     assert available_moves(model, at_exit) == []
     assert not accepts(model, at_exit, RET_ACTION, Fraction(0))
     model.by_name["H"].pass_by_value["wb"] = frozenset({"y"})  # y comes back as 0
-    assert available_moves(model, at_exit) == [(RET_ACTION, [Interval(Fraction(0), Fraction(0))])]
+    assert available_moves(model, at_exit) == [(RET_ACTION, Interval(Fraction(0), Fraction(0)))]
 
 
 def test_call_port_must_name_a_callee_entry():
@@ -311,12 +311,12 @@ def test_call_port_must_name_a_callee_entry():
     assert available_moves(model, config) == []
 
 
-def _probes(intervals):
-    """Delays to judge an offer by: 0, 1, 5/2 and, for each interval, its
-    endpoints, its midpoint and points just outside each end."""
+def _probes(ivl):
+    """Delays to judge an offer by: 0, 1, 5/2 and, when an interval is
+    offered, its endpoints, its midpoint and points just outside each end."""
     eps = Fraction(1, 1000)
     out = {Fraction(0), Fraction(1), Fraction(5, 2)}
-    for ivl in intervals:
+    if ivl is not None:
         out |= {ivl.lo, ivl.lo - eps}
         if ivl.hi is None:
             out |= {ivl.lo + 1, ivl.lo + 5}
@@ -333,9 +333,9 @@ def check_offers(model, config, seen=None):
     offered = dict(available_moves(model, config))
     labels = sorted({a for (_src, a) in model.component_of_location(config.location).transitions})
     for action in labels + [CALL_ACTION, RET_ACTION]:
-        intervals = offered.get(action, [])
-        for t in _probes(intervals):
-            assert any(ivl.contains(t) for ivl in intervals) == accepts(model, config, action, t), (action, t)
+        ivl = offered.get(action)
+        for t in _probes(ivl):
+            assert (ivl is not None and ivl.contains(t)) == accepts(model, config, action, t), (action, t)
         if seen is not None and action in available_actions(model, config):
             kind = {CALL_ACTION: "push", RET_ACTION: "pop"}.get(action, "local")
             seen[kind, action in offered] = seen.get((kind, action in offered), 0) + 1
@@ -366,8 +366,8 @@ def judge_offers_from_start(data, draws, seen=None):
             break
         config, depth = frontier.popleft()
         check_offers(model, config, seen)
-        for action, intervals in available_moves(model, config) if depth < 8 else ():
-            inside = [t for t in _probes(intervals) if intervals[0].contains(t)]
+        for action, ivl in available_moves(model, config) if depth < 8 else ():
+            inside = [t for t in _probes(ivl) if ivl.contains(t)]
             for t in {inside[0], inside[-1]}:
                 nxt = timed_step(model, config, TimedAction(t, action))
                 if config_key(nxt) not in visited:

@@ -485,6 +485,27 @@ def test_solvers_reject_a_model_that_leaves_a_component(target, entry, message):
         solve_termination_game(model, {loc: ACH for loc in model.all_locations()}, "s")
 
 
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda model: reachable(model, "n", []),
+        lambda model: terminates(model, "n"),
+        lambda model: solve_reachability_game(model, {node("n"): ACH}, "n", []),
+        lambda model: solve_termination_game(model, {node("n"): ACH}, "n"),
+        callee_first_order,
+        RsmModel.all_locations,
+    ],
+    ids=["reachable", "terminates", "reachability-game", "termination-game", "callee-first-order", "all-locations"],
+)
+def test_a_box_calling_an_unknown_component_is_a_model_error(entry_point):
+    """Unvalidated, such a model has no ports for the box; every entry
+    point says so in ``validate``'s words, not with a bare ``KeyError``."""
+    model = RsmModel([RsmComponent("C", ("n",), ("n",), (), {"b": "Nowhere"})])
+    assert validate(model) == ["C: box b calls unknown component Nowhere"]
+    with pytest.raises(ModelError, match="^C: box b calls unknown component Nowhere$"):
+        entry_point(model)
+
+
 # -- JSON ----------------------------------------------------------------------
 
 
