@@ -21,6 +21,7 @@ from .rsm import (
 from .rha import (
     RhaConfiguration,
     RhaModel,
+    StepTable,
     TimedAction,
     TimedRun,
     classify,

@@ -173,6 +173,8 @@ def cmd_rsm_solve(args) -> int:
         raise ParseError("model is not well formed: " + "; ".join(problems))
     if start is None or partition is None:
         raise ParseError("model file must carry 'start' and 'partition'")
+    if not isinstance(start, str):
+        raise ParseError(f"'start' must be a node name, not {json.dumps(start)}")
     known = set(model.all_locations())
     unknown = [f"{key} names {loc}" for key, locs in (("finals", finals or ()), ("partition", partition))
                for loc in sorted(locs) if loc not in known]

@@ -45,6 +45,7 @@ from .games import Player
 from .rha import (
     Interval,
     RhaConfiguration,
+    StepTable,
     TimedAction,
     TimedRun,
     available_moves,
@@ -54,7 +55,7 @@ from .rha import (
     timed_step,
 )
 from .rsm import CALL_ACTION, RET_ACTION, Location, call
-from .tcm import TwoCounterMachine, ZeroCheck, tcm_run
+from .tcm import INITIAL, TwoCounterMachine, ZeroCheck, tcm_run, tcm_step
 
 DEFAULT_STEP_BOUND = 10_000
 DEFAULT_TIME_BOUND = Fraction(4)
@@ -74,7 +75,7 @@ class Verdict:
 @dataclass(frozen=True)
 class Position:
     """What a strategy sees at a decision: the configuration, its role
-    (``role_at``), the available moves (``available_moves``), the machine
+    (``role_at``), the available moves (``StepTable.moves``), the machine
     step being simulated (instruction anchors entered so far minus one,
     at least 0), the number of free-delay decisions already taken, and
     whether a Tortoise role's verify action has been played."""
@@ -164,7 +165,15 @@ def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena
                 "arena/machine mismatch: "
                 f"{len(arena.instruction_anchor)} anchors for {len(machine.instructions)} instructions"
             )
-        machine_trace, _halted = tcm_run(machine, DEFAULT_STEP_BOUND)
+        # the prefix of tcm_run(machine, DEFAULT_STEP_BOUND) read so far
+        machine_trace = [INITIAL]
+
+    def machine_config(step: int):
+        while len(machine_trace) <= min(step, DEFAULT_STEP_BOUND) and (nxt := tcm_step(machine, machine_trace[-1])):
+            machine_trace.append(nxt)
+        if step >= len(machine_trace):
+            raise HarnessError("playout ran past the machine trace")
+        return machine_trace[step]
 
     def strategy(position: Position) -> TimedAction:
         v = position.config.valuation
@@ -181,13 +190,10 @@ def faithful_achilles(machine: Optional[TwoCounterMachine], arena: CompiledArena
         if role.kind == BRANCH:
             if machine_trace is None:
                 raise HarnessError("branch assertion reached but no machine was supplied")
-            step = position.step
-            if step >= len(machine_trace):
-                raise HarnessError("playout ran past the machine trace")
-            mcfg = machine_trace[step]
+            mcfg = machine_config(position.step)
             ins = machine.instructions[mcfg.pc]
             if not isinstance(ins, ZeroCheck):
-                raise HarnessError(f"machine step {step} is not a zero-check")
+                raise HarnessError(f"machine step {position.step} is not a zero-check")
             positive = mcfg.counter(ins.counter) > 0
             return TimedAction(Fraction(0), role.actions[0 if positive else 1])
         if role.kind == CERT:
@@ -349,14 +355,16 @@ def playout(
     if time_bound is not None and time_bound < 0:
         raise HarnessError(f"time bound must be nonnegative, not {fmt(time_bound)}")
     model, anchors = arena.model, arena.anchor_locations()
+    table = StepTable(model)
     config = initial_rha_config(model, arena.entry.name, arena.initial_valuation)
     configs, played = [config], []
-    elapsed = Fraction(0)
+    zero = elapsed = Fraction(0)
+    late = False  # elapsed > time_bound
     anchors_hit = int(config.location in anchors)
     delays, verified = 0, False
     outcome = "exhausted"
     for step in range(step_bound + 1):
-        if time_bound is not None and elapsed > time_bound:
+        if late:
             break
         if config.location in arena.finals:
             outcome = "final"
@@ -364,25 +372,27 @@ def playout(
         if step == step_bound:
             break
         loc = config.location
-        moves = available_moves(model, config)
+        moves = table.moves(config)
         if not moves:
             outcome = "stuck"
             break
         if moves[0][0] in (CALL_ACTION, RET_ACTION):
-            move = TimedAction(Fraction(0), moves[0][0])
-            nxt = timed_step(model, config, move)
+            move = TimedAction(zero, moves[0][0])
+            nxt = table.step(config, move)
         else:
             role = role_at(arena, config)
             position = Position(config, role, moves, max(0, anchors_hit - 1), delays, verified)
             mover = achilles if arena.partition.get(loc, Player.ACHILLES) is Player.ACHILLES else tortoise
             move = mover(position)
             try:
-                nxt = timed_step(model, config, move)
+                nxt = table.step(config, move)
             except MoveError as exc:
                 raise StrategyError(f"step {step}: illegal move {move} at {loc}: {exc}") from exc
             delays += _is_free_delay(role)
             verified = verified or (role is not None and role.kind in TORTOISE_ROLES and move.action == role.actions[0])
-        elapsed += move.delay
+        if move.delay:
+            elapsed += move.delay
+            late = time_bound is not None and elapsed > time_bound
         configs.append(nxt)
         played.append(move)
         config = nxt

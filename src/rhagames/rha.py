@@ -16,32 +16,30 @@ frame; all others keep the callee's final value (pass-by-reference).
 
 Every move must leave the target location's invariant satisfied: after
 the reset on a local transition, at the callee entry on a push and at
-the return port on a pop.  ``enabled_delays`` and ``available_moves``
-offer exactly the delays ``timed_step`` accepts, so a push or pop whose
-target invariant fails is not offered at all.
+the return port on a pop.  ``StepTable.moves`` (``available_moves``)
+offers exactly the delays ``StepTable.step`` (``timed_step``) accepts, so
+a push or pop whose target invariant fails is not offered at all.
 """
 
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .arith import Rational, Valuation, advance, fmt, rat, reset, restore
+from .arith import Rational, Valuation, fmt, rat
 from .errors import ModelError, MoveError, ParseError
 from .games import Player
 from .rsm import (
     CALL_ACTION,
-    LOCAL,
-    PUSH,
     RET_ACTION,
     Location,
     RsmComponent,
     RsmModel,
-    available_actions,
     callee_first_order,
     component_from_json,
     component_to_json,
     game_from_json,
     game_to_json,
+    is_exit,
     move_target,
     node,
     parse_location,
@@ -62,10 +60,11 @@ class Atom:
     bound: int
 
     def holds(self, value: Rational) -> bool:
+        # value = p/q with q > 0: value <rel> bound iff p <rel> bound*q, exactly
         compare = _COMPARE.get(self.rel)
         if compare is None:
             raise ModelError(f"unknown relation {self.rel!r}")
-        return compare(value, self.bound)
+        return compare(value.numerator, self.bound * value.denominator)
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,6 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def is_empty(self) -> bool:
-        if self.hi is None:
-            return False
-        if self.lo < self.hi:
-            return False
-        return not (self.lo == self.hi and self.lo_closed and self.hi_closed)
-
     def contains(self, t: Rational) -> bool:
         if t < self.lo or (t == self.lo and not self.lo_closed):
             return False
@@ -115,52 +107,8 @@ class Interval:
         return True
 
 
-def _intersect(a: Interval, b: Interval) -> Interval:
-    if a.lo > b.lo or (a.lo == b.lo and not a.lo_closed):
-        lo, lo_closed = a.lo, a.lo_closed
-    else:
-        lo, lo_closed = b.lo, b.lo_closed
-    if a.hi is None:
-        hi, hi_closed = b.hi, b.hi_closed
-    elif b.hi is None:
-        hi, hi_closed = a.hi, a.hi_closed
-    elif a.hi < b.hi or (a.hi == b.hi and not a.hi_closed):
-        hi, hi_closed = a.hi, a.hi_closed
-    else:
-        hi, hi_closed = b.hi, b.hi_closed
-    return Interval(lo, hi, lo_closed, hi_closed)
-
-
 ZERO = Rational(0)
-NONNEGATIVE = Interval(ZERO, None)
 ZERO_DELAY = Interval(ZERO, ZERO)
-
-
-def _narrow(current: Interval, constraint: RectConstraint, valuation: Valuation, flow: Mapping[str, Rational],
-            cleared: FrozenSet[str] = frozenset()) -> Optional[Interval]:
-    """The delays t in ``current`` (nonnegative) after which the
-    constraint holds, the ``cleared`` variables being reset to 0 at t;
-    None when empty.  A variable moves as ``value + rate*t``."""
-    if constraint.unsat:
-        return None
-    for atom in constraint.atoms:
-        value, rate = valuation[atom.var], flow[atom.var]
-        if atom.var in cleared or rate == 0:  # constant over the delay
-            if atom.holds(ZERO if atom.var in cleared else value):
-                continue
-            return None
-        crossing = (Rational(atom.bound) - value) / rate
-        # rate > 0: the variable grows through the bound (all gadget flows are >= 0)
-        if atom.rel in ("<", "<="):
-            piece = Interval(ZERO, crossing, True, atom.rel == "<=")
-        elif atom.rel == "=":
-            piece = Interval(crossing, crossing)
-        else:
-            piece = Interval(crossing, None, atom.rel == ">=", True)
-        current = _intersect(current, piece)
-        if current.is_empty():
-            return None
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +149,6 @@ class RhaModel(RsmModel):
 
     def flow_at(self, loc: Location) -> Dict[str, Rational]:
         return self.component_of_location(loc).flows.get(loc, self._unit_flow)
-
-    def pass_set(self, box: str) -> FrozenSet[str]:
-        return self.component_of_box(box).pass_by_value.get(box, frozenset())
 
 
 def validate_rha(model: RhaModel) -> List[str]:
@@ -316,92 +261,211 @@ def initial_rha_config(model: RhaModel, start_node: str, valuation: Valuation) -
     return RhaConfiguration((), loc, dict(valuation))
 
 
-def _frame_move(model: RhaModel, config: RhaConfiguration, effect: int):
-    """The context and valuation after a push (``effect`` PUSH) or pop
-    (POP) at ``config``: a push saves the valuation in a new frame, a pop
-    restores the box's by-value variables from the innermost frame."""
-    if effect == PUSH:
-        frame = (config.location.box, tuple(config.valuation[x] for x in model.variables))
-        return config.context + (frame,), dict(config.valuation)
-    box, saved = config.context[-1]
-    return config.context[:-1], restore(config.valuation, model.pass_set(box), dict(zip(model.variables, saved)))
+def _clip(window: tuple, constraint: RectConstraint, rates: Mapping[str, Rational], valuation: Valuation,
+          cleared: FrozenSet[str] = frozenset()) -> Optional[tuple]:
+    """The delays t in ``window`` (an ``Interval``'s fields, nonempty and
+    nonnegative) after which the constraint holds, the ``cleared``
+    variables being 0; None when empty.  A variable moves as
+    ``value + rate*t``; ``rates`` has the nonzero rates."""
+    if constraint.unsat:
+        return None
+    lo, hi, lo_closed, hi_closed = window
+    for atom in constraint.atoms:
+        var = atom.var
+        rate = None if var in cleared else rates.get(var)
+        if rate is None:  # constant over the delay
+            if atom.holds(ZERO if var in cleared else valuation[var]):
+                continue
+            return None
+        crossing = atom.bound - valuation[var]
+        if rate != 1:
+            crossing /= rate
+        # It grows through the bound (flows are >= 0); at an equal end an open one wins.
+        rel = atom.rel
+        if rel == "=":  # one delay: keep it if the window has it
+            if crossing < lo or (crossing == lo and not lo_closed) or (
+                    hi is not None and (crossing > hi or (crossing == hi and not hi_closed))):
+                return None
+            lo, hi, lo_closed, hi_closed = crossing, crossing, True, True
+            continue
+        if rel in ("<", "<="):  # an upper bound on t
+            if hi is None or crossing < hi or (crossing == hi and hi_closed):
+                hi, hi_closed = crossing, rel == "<="
+        elif crossing > lo or (crossing == lo and lo_closed):  # a lower bound on t
+            lo, lo_closed = crossing, rel == ">="
+        if hi is not None and (lo > hi or (lo == hi and not (lo_closed and hi_closed))):
+            return None
+    return lo, hi, lo_closed, hi_closed
 
 
-def _move_target(model: RhaModel, config: RhaConfiguration, action: str, error: type = ModelError):
-    """The RSM step of ``action`` at ``config``: (target, stack effect)."""
-    return move_target(model, config.location, action, config.context[-1][0] if config.context else None, error)
+class _Edge(NamedTuple):  # a local move
+    target: Location
+    guard: RectConstraint
+    cleared: FrozenSet[str]
+    target_invariant: RectConstraint
+
+
+class _Local(NamedTuple):  # a location with local moves
+    invariant: RectConstraint
+    rates: Dict[str, Rational]  # the nonzero rates of its flow, the int 1 for rate 1
+    edges: Dict[str, _Edge]  # by action, in definition order
+
+
+class _Push(NamedTuple):  # a call port; target None when its push is not available
+    target: Optional[Location]
+    invariant: RectConstraint
+
+
+class StepTable:
+    """The timed move semantics of a model, with what each location
+    contributes (flow, invariant, guards, resets, targets and their
+    invariants) looked up on its first visit; an exit's entry maps each
+    innermost box to its return port, the (frame index, variable) pairs
+    it restores and the port's invariant.  The model is read only then, so
+    a table must not outlive an edit to it: ``playout`` builds one per run."""
+
+    def __init__(self, model: RhaModel):
+        self.model = model
+        self._entries: Dict[Location, object] = {}
+
+    def __len__(self) -> int:
+        """Entries filled so far: one per location plus one per (box, exit) return."""
+        return len(self._entries) + sum(len(e) for e in self._entries.values() if type(e) is dict)
+
+    def _entry(self, loc: Location):
+        entry = self._entries.get(loc)
+        if entry is None:
+            entry = self._entries[loc] = self._fill(loc)
+        return entry
+
+    def _fill(self, loc: Location):
+        model = self.model
+        if loc.kind == "call":
+            try:
+                target, _push = move_target(model, loc, CALL_ACTION, None)
+            except ModelError:
+                return _Push(None, FALSE)
+            return _Push(target, model.component_of_location(target).invariant(target))
+        comp = model.component_of_location(loc)
+        if is_exit(comp, loc):
+            return {}
+        edges = {}
+        for action in comp.actions_at(loc):
+            target, _local = move_target(model, loc, action, None)
+            target_invariant = model.component_of_location(target).invariant(target)
+            edges[action] = _Edge(target, comp.guard(loc, action), comp.reset_set(loc, action), target_invariant)
+        rates = {x: 1 if r == 1 else r for x, r in model.flow_at(loc).items() if r != 0}
+        return _Local(comp.invariant(loc), rates, edges)
+
+    def _frame_step(self, entry, config: RhaConfiguration, action: str):
+        """The (context, target, valuation, target invariant) after the push
+        or pop ``action`` at a call port or exit, or None when not available.
+        A push saves the valuation in a new frame, a pop restores the box's
+        by-value variables from the innermost frame."""
+        valuation = config.valuation
+        if type(entry) is _Push:
+            if action != CALL_ACTION or entry.target is None:
+                return None
+            frame = (config.location.box, tuple(valuation[x] for x in self.model.variables))
+            return config.context + (frame,), entry.target, dict(valuation), entry.invariant
+        if action != RET_ACTION or not config.context:
+            return None
+        box, saved = config.context[-1]
+        if box not in entry:
+            model = self.model
+            target, _pop = move_target(model, config.location, RET_ACTION, box)
+            passed = model.component_of_box(box).pass_by_value.get(box, frozenset())
+            restored = tuple((i, x) for i, x in enumerate(model.variables) if x in passed)
+            entry[box] = (target, restored, model.component_of_location(target).invariant(target))
+        target, restored, invariant = entry[box]
+        resulting = dict(valuation)
+        for i, x in restored:
+            resulting[x] = saved[i]
+        return config.context[:-1], target, resulting, invariant
+
+    def moves(self, config: RhaConfiguration) -> List[Tuple[str, Interval]]:
+        """The RSM's available actions at a configuration, in definition
+        order, each with its nonempty interval of delays t: the invariant
+        holds along [0, t], the guard at t and the target's invariant after
+        the move.  Push/pop moves admit exactly delay 0, and only when the
+        target invariant holds for the pushed or restored valuation."""
+        entry = self._entry(config.location)
+        if type(entry) is not _Local:
+            action = CALL_ACTION if type(entry) is _Push else RET_ACTION
+            moved = self._frame_step(entry, config, action)
+            return [(action, ZERO_DELAY)] if moved is not None and moved[3].holds(moved[2]) else []
+        valuation, rates = config.valuation, entry.rates
+        # Constant flows, convex invariant: it holds along [0, t] iff its window has 0 and t.
+        window = _clip((ZERO, None, True, True), entry.invariant, rates, valuation)
+        if window is None or not window[2] or window[0] != 0:
+            return []
+        out = []
+        for action, edge in entry.edges.items():
+            # Reset variables are 0 at the target, others moved: still one interval.
+            delays = _clip(window, edge.guard, rates, valuation)
+            if delays is not None:
+                delays = _clip(delays, edge.target_invariant, rates, valuation, edge.cleared)
+            if delays is not None:
+                out.append((action, Interval(*delays)))
+        return out
+
+    def delays(self, config: RhaConfiguration, action: str) -> Optional[Interval]:
+        """The interval of delays ``moves`` offers ``action`` at, or None."""
+        return dict(self.moves(config)).get(action)
+
+    def step(self, config: RhaConfiguration, move: TimedAction) -> RhaConfiguration:
+        """Apply one timed move: the RSM step of its action plus its delay.
+        Raises ``MoveError`` for an action not available (the RSM step's own
+        error), a nonzero delay on push/pop, an invariant violated along the
+        delay, a guard unsatisfied after it, or the target's invariant
+        rejecting the valuation after the move."""
+        loc, delay, action = config.location, move.delay, move.action
+        if delay < 0:
+            raise MoveError(f"negative delay {delay} at {loc}")
+        entry = self._entry(loc)
+        local = type(entry) is _Local
+        moved = entry.edges.get(action) if local else self._frame_step(entry, config, action)
+        if moved is None:
+            move_target(self.model, loc, action, config.context[-1][0] if config.context else None, MoveError)
+        if not local:
+            if delay != 0:
+                raise MoveError(f"{'call' if type(entry) is _Push else 'return'} at {loc} must take zero time")
+            context, target, resulting, target_inv = moved
+        else:
+            valuation = config.valuation
+            after = dict(valuation)
+            if delay:
+                for x, rate in entry.rates.items():
+                    after[x] += delay if rate == 1 else rate * delay
+            inv = entry.invariant
+            if not inv.holds(valuation) or (delay and not inv.holds(after)):
+                failing = (a for a in inv.atoms if not (a.holds(valuation[a.var]) and a.holds(after[a.var])))
+                culprit = next(failing, None)
+                bound = f" (first violated bound: {culprit.var} {culprit.rel} {culprit.bound})" if culprit else ""
+                raise MoveError(f"delay {delay} violates the invariant at {loc}{bound}")
+            if not moved.guard.holds(after):
+                raise MoveError(f"guard of {action!r} unsatisfied after delay {delay} at {loc}")
+            for x in moved.cleared:
+                after[x] = ZERO
+            context, target, resulting, target_inv = config.context, moved.target, after, moved.target_invariant
+        if not target_inv.holds(resulting):
+            raise MoveError(f"invariant at {target} rejects the post-move valuation")
+        return RhaConfiguration(context, target, resulting)
+
+
+# The table's methods on a fresh table, for one-off calls.
 
 
 def enabled_delays(model: RhaModel, config: RhaConfiguration, action: str) -> Optional[Interval]:
-    """The interval of delays t after which ``action`` can fire, or None
-    when there is none: the invariant must hold along [0, t] (endpoints
-    suffice: constant flows, convex invariant), the guard at t, and the
-    target's invariant after the move.  On a local move reset variables
-    are 0 and the others have moved at the source flow, so the set stays
-    one interval.  Push/pop moves admit exactly delay 0, and only when
-    the target invariant holds for the pushed or restored valuation."""
-    try:
-        target, effect = _move_target(model, config, action)
-    except ModelError:
-        return None
-    target_inv = model.component_of_location(target).invariant(target)
-    if effect != LOCAL:
-        return ZERO_DELAY if target_inv.holds(_frame_move(model, config, effect)[1]) else None
-    loc, valuation = config.location, config.valuation
-    comp = model.component_of_location(loc)
-    flow = model.flow_at(loc)
-    inv = _narrow(NONNEGATIVE, comp.invariant(loc), valuation, flow)
-    # By convexity the invariant holds along [0, t] iff t is in its
-    # interval and that interval starts at 0.
-    if inv is None or not inv.contains(ZERO):
-        return None
-    joint = _narrow(inv, comp.guard(loc, action), valuation, flow)
-    return None if joint is None else _narrow(joint, target_inv, valuation, flow, comp.reset_set(loc, action))
+    return StepTable(model).delays(config, action)
 
 
 def available_moves(model: RhaModel, config: RhaConfiguration) -> List[Tuple[str, Interval]]:
-    """The RSM's available actions with nonempty delay intervals at a
-    configuration, in definition order."""
-    out = []
-    for action in available_actions(model, config):
-        delays = enabled_delays(model, config, action)
-        if delays is not None:
-            out.append((action, delays))
-    return out
+    return StepTable(model).moves(config)
 
 
 def timed_step(model: RhaModel, config: RhaConfiguration, move: TimedAction) -> RhaConfiguration:
-    """Apply one timed move: the RSM step of its action plus its delay.
-    Raises ``MoveError`` when the move is not legal: action not available
-    (pop at empty context included), nonzero delay on push/pop, invariant
-    violated along the delay, guard unsatisfied at the chosen delay, or
-    the target's invariant rejecting the valuation after the move."""
-    loc = config.location
-    valuation = config.valuation
-    if move.delay < 0:
-        raise MoveError(f"negative delay {move.delay} at {loc}")
-    target, effect = _move_target(model, config, move.action, MoveError)
-    if effect != LOCAL:
-        if move.delay != 0:
-            raise MoveError(f"{'call' if effect == PUSH else 'return'} at {loc} must take zero time")
-        context, resulting = _frame_move(model, config, effect)
-    else:
-        comp = model.component_of_location(loc)
-        after = advance(valuation, model.flow_at(loc), move.delay)
-        inv = comp.invariant(loc)
-        if not (inv.holds(valuation) and inv.holds(after)):
-            culprit = next(
-                (a for a in inv.atoms if not (a.holds(valuation[a.var]) and a.holds(after[a.var]))),
-                None,
-            )
-            bound = f" (first violated bound: {culprit.var} {culprit.rel} {culprit.bound})" if culprit else ""
-            raise MoveError(f"delay {move.delay} violates the invariant at {loc}{bound}")
-        if not comp.guard(loc, move.action).holds(after):
-            raise MoveError(f"guard of {move.action!r} unsatisfied after delay {move.delay} at {loc}")
-        context, resulting = config.context, reset(after, comp.reset_set(loc, move.action))
-    if not model.component_of_location(target).invariant(target).holds(resulting):
-        raise MoveError(f"invariant at {target} rejects the post-move valuation")
-    return RhaConfiguration(context, target, resulting)
+    return StepTable(model).step(config, move)
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,18 @@ def test_rsm_solve_malformed_game_field_exits_2(tmp_path, capsys, field, value):
     assert_one_line_error(code, err)
 
 
+@pytest.mark.parametrize("start", [["s0"], {"node": "s0"}, 5], ids=["list", "object", "number"])
+def test_rsm_solve_non_string_start_exits_2(tmp_path, capsys, start):
+    model, partition = flat_game_arena_model()
+    data = model_to_json(model, start="s0", partition=partition, finals=[node("goal")])
+    data["start"] = start
+    path = write(tmp_path, "game.json", json.dumps(data))
+    for objective in ("reach", "terminate"):
+        code, _, err = run_cli(capsys, "rsm-solve", path, "--objective", objective)
+        assert_one_line_error(code, err)
+        assert "'start' must be a node name" in err
+
+
 def test_rsm_solve_unknown_locations_exit_2(tmp_path, capsys):
     model, partition = flat_game_arena_model()
     data = model_to_json(model, start="s0", partition=partition, finals=[node("goal")])

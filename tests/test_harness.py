@@ -14,6 +14,7 @@ from rhagames.compiler import CompiledArena, build_div, compile, host_arena
 from rhagames.errors import HarnessError, StrategyError
 from rhagames.games import Player
 from rhagames.harness import (
+    DEFAULT_STEP_BOUND,
     Position,
     _candidate_delays,
     _default_move,
@@ -38,12 +39,14 @@ from rhagames.rha import (
     RhaComponent,
     RhaConfiguration,
     RhaModel,
+    StepTable,
     TimedAction,
     TimedRun,
     available_moves,
     conj,
     run_duration,
 )
+from rhagames.rsm import RET_ACTION
 from rhagames.rsm import call, node
 from rhagames.tcm import Dec, Halt, Inc, TwoCounterMachine, ZeroCheck
 
@@ -359,11 +362,12 @@ def _recount_cases():
 def test_positions_match_a_recount_and_moves_are_computed_once(monkeypatch):
     calls = []
 
-    def counted(model, config):
-        calls.append(config)
-        return available_moves(model, config)
+    class Counted(StepTable):
+        def moves(self, config):
+            calls.append(config)
+            return super().moves(config)
 
-    monkeypatch.setattr(rhagames.harness, "available_moves", counted)
+    monkeypatch.setattr(rhagames.harness, "StepTable", Counted)
     verified_playouts = 0
     for arena, achilles, tortoise, bounds in _recount_cases():
         positions = []
@@ -382,6 +386,81 @@ def test_positions_match_a_recount_and_moves_are_computed_once(monkeypatch):
             assert position.moves == available_moves(arena.model, position.config)
         verified_playouts += positions[-1].verified
     assert verified_playouts > 0
+
+
+def _recorded_tables(monkeypatch):
+    """The step tables ``playout`` builds from now on, in order."""
+    tables = []
+
+    class Recorded(StepTable):
+        def __init__(self, model):
+            super().__init__(model)
+            tables.append(self)
+
+    monkeypatch.setattr(rhagames.harness, "StepTable", Recorded)
+    return tables
+
+
+@pytest.mark.parametrize("target", ("rta3", "rsa4"))
+def test_a_long_playout_fills_one_table_entry_per_location(monkeypatch, target):
+    """A 10 000-move playout builds one table, holding one entry per
+    location it looked up and one return per (box, exit) it popped."""
+    tables = _recorded_tables(monkeypatch)
+    machine = nonhalting_corpus()[4]
+    arena = compile(machine, target)
+    verdict = playout(arena, faithful_achilles(machine, arena), tortoise_skip_all(arena))
+    assert (verdict.outcome, verdict.steps) == ("exhausted", DEFAULT_STEP_BOUND)
+    run = verdict.trace
+    looked_up = {cfg.location for cfg in run.configs[:-1]}
+    returns = {(cfg.context[-1][0], cfg.location) for cfg, m in zip(run.configs, run.moves) if m.action == RET_ACTION}
+    assert [len(table) for table in tables] == [len(looked_up) + len(returns)]
+
+
+def test_a_guard_edited_between_playouts_is_seen_by_the_next(monkeypatch):
+    """No table outlives its playout: a guard that no valuation meets, put
+    on the first timed move of the faithful run (the shared delay cell's,
+    which the run takes again later), leaves the next playout stuck there,
+    and removing it gives the first run back."""
+    tables = _recorded_tables(monkeypatch)
+    arena = compile(INC_HALT, "rta3")
+
+    def play():
+        return playout(arena, faithful_achilles(INC_HALT, arena), tortoise_skip_all(arena))
+
+    first = play()
+    k = next(k for k, m in enumerate(first.trace.moves) if m.delay > 0)
+    src, action = first.trace.configs[k].location, first.trace.moves[k].action
+    guards = arena.model.component_of_location(src).guards
+    assert (src, action) not in guards
+    guards[(src, action)] = conj(("x", "<", 0))
+    second = play()
+    assert (second.outcome, second.steps, second.trace.last().location) == ("stuck", k, src)
+    del guards[(src, action)]
+    assert play().trace == first.trace
+    assert len(tables) == 3 and len({id(t) for t in tables}) == 3
+
+
+def test_faithful_achilles_runs_the_machine_only_as_far_as_the_playout_reads(monkeypatch):
+    machine = nonhalting_corpus()[3]
+    arena = compile(machine, "rta3")
+    stepped = []
+    step = rhagames.harness.tcm_step
+    monkeypatch.setattr(rhagames.harness, "tcm_step", lambda m, cfg: stepped.append(cfg) or step(m, cfg))
+    positions = []
+    playout(arena, _recorded(faithful_achilles(machine, arena), positions), tortoise_skip_all(arena), step_bound=1000)
+    read = [p.step for p in positions if p.role is not None and p.role.kind == "branch"]
+    assert read and len(stepped) == max(read) < 100
+
+
+def test_playout_past_a_shorter_machine_run_is_harness_error():
+    """The arena loops (L0: INC c1; L1: IFZ c1 THEN L2 ELSE L0); the machine
+    it is played with halts from L1 either way, so its run has no step 3
+    for the arena's second zero-check."""
+    looping = TwoCounterMachine((Inc("c1", 1), ZeroCheck("c1", 0, 2), Halt()))
+    halting = TwoCounterMachine((Inc("c1", 1), ZeroCheck("c1", 2, 2), Halt()))
+    arena = compile(looping, "rta3")
+    with pytest.raises(HarnessError, match="playout ran past the machine trace"):
+        playout(arena, faithful_achilles(halting, arena), tortoise_skip_all(arena))
 
 
 def test_negative_step_bound_is_harness_error():

@@ -1,5 +1,6 @@
 """Hybrid automata: classification, timed steps, delays, durations."""
 
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -11,15 +12,18 @@ from hypothesis import strategies as st
 from fixtures import one_clock_rta
 from generators import rha_documents
 from rhagames.arith import make_valuation
-from rhagames.errors import MoveError, ParseError
+from rhagames.errors import ModelError, MoveError, ParseError
 from rhagames.games import Player
 from rhagames.rha import (
     CALL_ACTION,
+    RELATIONS,
     RET_ACTION,
+    Atom,
     Interval,
     RhaComponent,
     RhaConfiguration,
     RhaModel,
+    StepTable,
     TimedAction,
     TimedRun,
     available_moves,
@@ -379,6 +383,99 @@ def judge_offers_from_start(data, draws, seen=None):
 @given(rha_documents(playable=True), st.data())
 def test_available_moves_offer_exactly_what_timed_step_accepts(data, draws):
     judge_offers_from_start(data, draws)
+
+
+def _outcome(step, config, move):
+    """The successor of a move, or the text of the ``MoveError`` refusing it."""
+    try:
+        return step(config, move)
+    except MoveError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rha_documents(playable=True), st.data())
+def test_one_reused_step_table_agrees_with_fresh_ones(data, draws):
+    """One table walks a random playable model from its start node and
+    from inside a pending call of every box, so that it fills the return
+    of one exit for several stack tops.  At every configuration it offers
+    what a fresh table offers, and every probed delay of every action (push
+    and pop included) leads to the same successor or the same refusal."""
+    model, start, _, _ = rha_model_from_json(data)
+    assume(validate_rha(model) == [])
+    value = st.fractions(0, 3, max_denominator=4)
+    starts = [((), node(start))]
+    for comp in model.components:
+        for box, callee in comp.boxes.items():
+            frame = (box, tuple(draws.draw(value) for _ in model.variables))
+            starts.append(((frame,), node(draws.draw(st.sampled_from(model.by_name[callee].nodes)))))
+    table = StepTable(model)
+    for context, loc in starts:
+        frontier = deque([RhaConfiguration(context, loc, {x: draws.draw(value) for x in model.variables})])
+        visited = {config_key(frontier[0])}
+        for _ in range(12):
+            if not frontier:
+                break
+            config = frontier.popleft()
+            offered = table.moves(config)
+            assert offered == available_moves(model, config)
+            labels = sorted({a for (_src, a) in model.component_of_location(config.location).transitions})
+            for action in labels + [CALL_ACTION, RET_ACTION]:
+                ivl = dict(offered).get(action)
+                assert table.delays(config, action) == ivl == enabled_delays(model, config, action)
+                for t in _probes(ivl):
+                    move = TimedAction(t, action)
+                    nxt = _outcome(table.step, config, move)
+                    assert nxt == _outcome(lambda c, m: timed_step(model, c, m), config, move), (action, t)
+                    if isinstance(nxt, RhaConfiguration) and config_key(nxt) not in visited:
+                        visited.add(config_key(nxt))
+                        frontier.append(nxt)
+
+
+def test_one_table_returns_each_box_to_its_own_port():
+    """Two boxes call one worker and pass different variables by value; one
+    table pops from the worker's exit to each box's return port, restoring
+    that box's variables, and holds one return per (box, exit)."""
+    model = two_var_model(pass_sets=("x",))
+    host = model.by_name["H"]
+    host.boxes["wc"] = "W"
+    host.pass_by_value["wc"] = frozenset({"y"})
+    model = RhaModel(model.variables, model.components)
+    saved = (Fraction(1), Fraction(2))
+    at_exit = make_valuation(("x", "y"), {"x": 5, "y": 7})
+    table = StepTable(model)
+    for box, back in (("wb", {"x": 1, "y": 7}), ("wc", {"x": 5, "y": 2}), ("wb", {"x": 1, "y": 7})):
+        config = RhaConfiguration(((box, saved),), node("wx"), dict(at_exit))
+        assert table.moves(config) == [(RET_ACTION, Interval(Fraction(0), Fraction(0)))]
+        popped = table.step(config, TimedAction(Fraction(0), RET_ACTION))
+        assert popped == RhaConfiguration((), ret(box, "wx"), make_valuation(("x", "y"), back))
+        assert popped == timed_step(model, config, TimedAction(Fraction(0), RET_ACTION))
+    assert len(table) == 1 + 2  # the exit, and its return to each of two boxes
+
+
+_RELATION_MEANS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(RELATIONS),
+    st.integers(-4, 4),
+    st.one_of(st.just(Fraction(0)), st.fractions(-2, 2, max_denominator=9)),
+    st.booleans(),
+)
+def test_atom_holds_is_the_exact_rational_comparison(rel, bound, offset, as_int):
+    """``Atom.holds`` compares in integers; it agrees with the ``Fraction``
+    comparison on negative, zero and non-integral values at and around
+    the bound, and on plain ints."""
+    value = bound + offset
+    if as_int and value.denominator == 1:
+        value = int(value)
+    assert Atom("x", rel, bound).holds(value) == _RELATION_MEANS[rel](Fraction(value), Fraction(bound))
+
+
+def test_atom_with_an_unknown_relation_raises():
+    with pytest.raises(ModelError, match="unknown relation '~'"):
+        Atom("x", "~", 1).holds(Fraction(1))
 
 
 # -- durations ------------------------------------------------------------------
